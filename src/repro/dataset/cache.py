@@ -32,7 +32,7 @@ from repro.dataset.shard import CrawlParams
 
 #: Bump when the archive format or crawl semantics change, so stale
 #: entries from older code can never be mistaken for current ones.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Environment override for the cache root.
 CACHE_ENV_VAR = "REPRO_CRAWL_CACHE"

@@ -31,7 +31,7 @@ from repro.h2.errors import (
     HpackError,
 )
 from repro.h2.hpack import HpackDecoder, HpackEncoder
-from repro.h2.settings import SettingId, Settings
+from repro.h2.settings import MAX_WINDOW_SIZE, SettingId, Settings
 from repro.h2.stream import Stream, StreamState
 
 Header = Tuple[str, str]
@@ -79,11 +79,11 @@ class H2Connection:
         self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
+        #: The largest connection receive window this endpoint has
+        #: opened; lazy replenishment restores the window to it.
+        self._connection_recv_target = self.connection_recv_window
         #: DATA blocked on flow control, drained as windows reopen.
         self._send_queue: Deque[Tuple[int, bytes, bool]] = deque()
-        # Diagnostics used by tests and the deployment analysis.
-        self.frames_sent: List[fr.Frame] = []
-        self.frames_received: List[fr.Frame] = []
 
     # -- lifecycle --------------------------------------------------------
 
@@ -257,12 +257,13 @@ class H2Connection:
                 stream.replenish_recv_window(increment)
         else:
             self.connection_recv_window += increment
+            if self.connection_recv_window > self._connection_recv_target:
+                self._connection_recv_target = self.connection_recv_window
         self._send_frame(
             fr.WindowUpdateFrame(stream_id=stream_id, increment=increment)
         )
 
     def _send_frame(self, frame: fr.Frame) -> None:
-        self.frames_sent.append(frame)
         frame.serialize_into(self._outbound)
 
     # -- receiving ------------------------------------------------------------
@@ -285,9 +286,10 @@ class H2Connection:
             self._preface_remaining = self._preface_remaining[take:]
             del buffer[:take]
         try:
-            parsed = fr.consume_frames(buffer)
+            parsed = fr.consume_frames(
+                buffer, self.local_settings.max_frame_size
+            )
             for frame in parsed:
-                self.frames_received.append(frame)
                 events.extend(self._handle_frame(frame))
         except H2ConnectionError as error:
             self.send_goaway(error.code)
@@ -375,11 +377,21 @@ class H2Connection:
                 end_stream=frame.end_stream,
             )
         ]
-        # Auto-replenish windows, as typical implementations do.
+        # Replenish lazily, as browsers and python-hyper/h2's
+        # WindowManager do: once a window has fallen to half its
+        # target, one WINDOW_UPDATE restores it in full.  A stream
+        # that has ended takes no more DATA, so it gets no update.
         if length:
-            self.send_window_update(0, length)
-            if not stream.closed:
-                self.send_window_update(frame.stream_id, length)
+            target = self._connection_recv_target
+            if self.connection_recv_window <= target // 2:
+                self.send_window_update(
+                    0, target - self.connection_recv_window
+                )
+            target = self.local_settings.initial_window_size
+            if not frame.end_stream and stream.recv_window <= target // 2:
+                self.send_window_update(
+                    frame.stream_id, target - stream.recv_window
+                )
         if frame.end_stream:
             events.append(ev.StreamEnded(frame.stream_id))
         return events
@@ -451,11 +463,29 @@ class H2Connection:
         if frame.is_ack:
             return [ev.SettingsAcked()]
         for identifier, value in frame.settings:
+            previous_window = self.remote_settings.initial_window_size
             self.remote_settings.apply(identifier, value)
             if identifier == SettingId.HEADER_TABLE_SIZE:
                 self._encoder.set_max_table_size(value)
+            elif identifier == SettingId.INITIAL_WINDOW_SIZE:
+                self._adjust_stream_send_windows(value - previous_window)
         self._send_frame(fr.SettingsFrame(flags=fr.FLAG_ACK))
+        self._drain_send_queue()
         return [ev.SettingsReceived(settings=frame.settings)]
+
+    def _adjust_stream_send_windows(self, delta: int) -> None:
+        """Apply a change of the peer's INITIAL_WINDOW_SIZE to every
+        open stream's send window (RFC 7540 §6.9.2)."""
+        for stream in self._streams.values():
+            if stream.closed:
+                continue
+            stream.send_window += delta
+            if stream.send_window > MAX_WINDOW_SIZE:
+                raise H2ConnectionError(
+                    ErrorCode.FLOW_CONTROL_ERROR,
+                    f"INITIAL_WINDOW_SIZE change overflows the send "
+                    f"window of stream {stream.stream_id}",
+                )
 
     def _on_rst(self, frame: fr.RstStreamFrame) -> List[ev.Event]:
         if frame.stream_id == 0:
@@ -485,11 +515,22 @@ class H2Connection:
                 ErrorCode.PROTOCOL_ERROR, "WINDOW_UPDATE with zero increment"
             )
         if frame.stream_id == 0:
-            self.connection_send_window += frame.increment
+            window = self.connection_send_window + frame.increment
+            if window > MAX_WINDOW_SIZE:
+                raise H2ConnectionError(
+                    ErrorCode.FLOW_CONTROL_ERROR,
+                    "WINDOW_UPDATE overflows the connection send window",
+                )
+            self.connection_send_window = window
         else:
             stream = self._streams.get(frame.stream_id)
-            if stream is not None:
-                stream.window_update(frame.increment)
+            if stream is not None and not stream.closed:
+                try:
+                    stream.window_update(frame.increment)
+                except H2StreamError as error:
+                    self.send_rst_stream(frame.stream_id, error.code)
+                    return [ev.StreamReset(frame.stream_id, error.code,
+                                           remote=False)]
         self._drain_send_queue()
         return [ev.WindowUpdated(frame.stream_id, frame.increment)]
 

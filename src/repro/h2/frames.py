@@ -27,6 +27,9 @@ from repro.h2.errors import ErrorCode, H2ConnectionError
 
 FRAME_HEADER_LEN = 9
 
+#: The largest length the 24-bit frame header field can carry.
+MAX_FRAME_LENGTH = 2**24 - 1
+
 #: The 9-byte frame header packed as one struct: the first 32-bit word
 #: carries ``(length << 8) | type``, which is exactly the wire layout of
 #: the 24-bit length followed by the type octet.
@@ -72,7 +75,7 @@ class Frame:
 
     def serialize(self) -> bytes:
         body = self.payload()
-        if len(body) > 2**24 - 1:
+        if len(body) > MAX_FRAME_LENGTH:
             raise H2ConnectionError(
                 ErrorCode.FRAME_SIZE_ERROR,
                 f"payload of {len(body)} bytes exceeds the 24-bit length",
@@ -87,7 +90,7 @@ class Frame:
         """Append this frame's wire bytes to ``out`` without building an
         intermediate ``bytes`` object per frame."""
         body = self.payload()
-        if len(body) > 2**24 - 1:
+        if len(body) > MAX_FRAME_LENGTH:
             raise H2ConnectionError(
                 ErrorCode.FRAME_SIZE_ERROR,
                 f"payload of {len(body)} bytes exceeds the 24-bit length",
@@ -629,12 +632,17 @@ def parse_frames(buffer: bytes) -> Tuple[List[Frame], bytes]:
     return frames, bytes(view[offset:])
 
 
-def consume_frames(buffer: bytearray) -> List[Frame]:
+def consume_frames(
+    buffer: bytearray, max_length: int = MAX_FRAME_LENGTH
+) -> List[Frame]:
     """Parse complete frames out of a persistent receive buffer.
 
     Consumed bytes are deleted from ``buffer`` in place -- the zero-copy
     companion to :func:`parse_frames` for connection receive paths that
-    keep one reusable ``bytearray`` per connection.
+    keep one reusable ``bytearray`` per connection.  A header whose
+    length exceeds ``max_length`` (the local ``SETTINGS_MAX_FRAME_SIZE``)
+    raises ``FRAME_SIZE_ERROR`` before its body is buffered (RFC 7540
+    §4.2).
     """
     frames: List[Frame] = []
     offset = 0
@@ -646,6 +654,12 @@ def consume_frames(buffer: bytearray) -> List[Frame]:
                     view, offset
                 )
                 length = word >> 8
+                if length > max_length:
+                    raise H2ConnectionError(
+                        ErrorCode.FRAME_SIZE_ERROR,
+                        f"frame of {length} bytes exceeds "
+                        f"SETTINGS_MAX_FRAME_SIZE {max_length}",
+                    )
                 end = offset + FRAME_HEADER_LEN + length
                 if end > total:
                     break

@@ -6,6 +6,7 @@ import enum
 from typing import Optional
 
 from repro.h2.errors import ErrorCode, H2StreamError
+from repro.h2.settings import MAX_WINDOW_SIZE
 
 
 class StreamState(enum.Enum):
@@ -128,6 +129,12 @@ class Stream:
             raise H2StreamError(
                 self.stream_id, ErrorCode.PROTOCOL_ERROR,
                 f"WINDOW_UPDATE increment must be positive, got {delta}",
+            )
+        if self.send_window + delta > MAX_WINDOW_SIZE:
+            raise H2StreamError(
+                self.stream_id, ErrorCode.FLOW_CONTROL_ERROR,
+                f"WINDOW_UPDATE of {delta} overflows send window "
+                f"{self.send_window}",
             )
         self.send_window += delta
 

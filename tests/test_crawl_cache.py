@@ -132,6 +132,16 @@ class TestCacheKey:
                                      speculative_rate=0.2), 2) != base
         assert cache_key(self.config, self.params, 3) != base
 
+    def test_format_version_bump_retires_old_entries(self, monkeypatch):
+        # Version 2 changed crawl semantics (browser-like HTTP/2 flow
+        # control), so no archive crawled under version 1 may be served.
+        from repro.dataset import cache
+
+        assert cache.CACHE_FORMAT_VERSION == 2
+        current = cache_key(self.config, self.params, 2)
+        monkeypatch.setattr(cache, "CACHE_FORMAT_VERSION", 1)
+        assert cache_key(self.config, self.params, 2) != current
+
 
 class TestCrawlCache:
     def test_miss_then_hit(self, tmp_path):

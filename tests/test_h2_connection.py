@@ -17,12 +17,15 @@ from repro.h2.frames import (
     ContinuationFrame,
     DataFrame,
     FLAG_END_HEADERS,
+    GoAwayFrame,
     HeadersFrame,
     PingFrame,
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
+    parse_frames,
 )
+from repro.h2.settings import MAX_WINDOW_SIZE, SettingId
 
 REQUEST = [
     (":method", "GET"),
@@ -89,11 +92,9 @@ class TestHandshake:
         client.initiate()
         server.initiate()
         data = client.data_to_send()
-        server.receive_data(data[:10])
-        server.receive_data(data[10:])
-        assert any(
-            isinstance(f, SettingsFrame) for f in server.frames_received
-        )
+        assert server.receive_data(data[:10]) == []
+        events = server.receive_data(data[10:])
+        assert any(isinstance(e, ev.SettingsReceived) for e in events)
 
 
 class TestRequestResponse:
@@ -271,6 +272,17 @@ class TestErrors:
         with pytest.raises(H2ConnectionError):
             client.send_headers(client.get_next_stream_id(), REQUEST)
 
+    def test_oversized_frame_header_is_fatal(self):
+        # A 16 MiB length header must not be buffered while the body
+        # trickles in: RFC 7540 §4.2 makes it a FRAME_SIZE_ERROR.
+        client, _, _, _ = pair()
+        header = (2**24 - 1).to_bytes(3, "big") + bytes([0x0, 0x0]) + \
+            (1).to_bytes(4, "big")
+        with pytest.raises(H2ConnectionError) as raised:
+            client.receive_data(header + b"x" * 100)
+        assert raised.value.code is ErrorCode.FRAME_SIZE_ERROR
+        assert goaway_code(client) is ErrorCode.FRAME_SIZE_ERROR
+
     def test_zero_window_update_is_fatal(self):
         client, _, _, _ = pair()
         wire = WindowUpdateFrame(stream_id=0, increment=0).serialize()
@@ -298,6 +310,28 @@ class TestErrors:
         assert requests and requests[0].headers == REQUEST
 
 
+def open_response(client, server):
+    """A stream whose response headers the server has sent."""
+    stream_id = client.get_next_stream_id()
+    client.send_headers(stream_id, REQUEST, end_stream=True)
+    pump(client, server)
+    server.send_headers(stream_id, RESPONSE)
+    return stream_id
+
+
+def window_updates(events):
+    return [(e.stream_id, e.delta) for e in events
+            if isinstance(e, ev.WindowUpdated)]
+
+
+def goaway_code(endpoint):
+    """The error code of the GOAWAY ``endpoint`` has queued."""
+    frames, _ = parse_frames(endpoint.data_to_send())
+    goaways = [f for f in frames if isinstance(f, GoAwayFrame)]
+    assert len(goaways) == 1
+    return goaways[0].error_code
+
+
 class TestFlowControl:
     def test_send_window_decrements(self):
         client, server, _, _ = pair()
@@ -311,15 +345,84 @@ class TestFlowControl:
 
     def test_receiver_replenishes_windows(self):
         client, server, _, _ = pair()
-        stream_id = client.get_next_stream_id()
-        client.send_headers(stream_id, REQUEST, end_stream=True)
-        pump(client, server)
-        server.send_headers(stream_id, RESPONSE)
-        server.send_data(stream_id, b"x" * 1000, end_stream=True)
+        stream_id = open_response(client, server)
+        half = 65_535 // 2
+        # Down to just above half of either window: no update yet.
+        server.send_data(stream_id, b"x" * (65_535 - half - 1))
         pump(server, client)
-        events = pump(client, server)
-        updates = [e for e in events if isinstance(e, ev.WindowUpdated)]
-        assert any(u.stream_id == 0 and u.delta == 1000 for u in updates)
+        assert window_updates(pump(client, server)) == []
+        # One more byte reaches half: one update per window restores
+        # each to its 65,535-byte target.
+        server.send_data(stream_id, b"x")
+        pump(server, client)
+        assert client.connection_recv_window == 65_535
+        assert client.stream(stream_id).recv_window == 65_535
+        assert window_updates(pump(client, server)) == [
+            (0, 65_535 - half), (stream_id, 65_535 - half),
+        ]
+        # Both windows reach half again on the stream's last byte: the
+        # closed stream gets no update, the connection does.
+        server.send_data(stream_id, b"x" * (65_535 - half - 1))
+        server.send_data(stream_id, b"x", end_stream=True)
+        pump(server, client)
+        assert client.stream(stream_id).closed
+        assert window_updates(pump(client, server)) == [(0, 65_535 - half)]
+
+    def test_peer_initial_window_change_adjusts_open_streams(self):
+        client, server, _, _ = pair()
+        stream_id = open_response(client, server)
+        server.receive_data(WindowUpdateFrame(
+            stream_id=0, increment=100_000).serialize())
+        server.send_data(stream_id, b"x" * 70_000, end_stream=True)
+        # The stream window is exhausted; the rest waits in the queue.
+        assert server.stream(stream_id).send_window == 0
+        # The client raises INITIAL_WINDOW_SIZE by 34,465 bytes: the
+        # open stream's send window grows by as much and the queue
+        # drains (RFC 7540 §6.9.2).
+        server.receive_data(SettingsFrame(
+            settings=((SettingId.INITIAL_WINDOW_SIZE, 100_000),)
+        ).serialize())
+        assert server.stream(stream_id).send_window == 100_000 - 70_000
+        events = pump(server, client)
+        assert sum(e.flow_controlled_length for e in events
+                   if isinstance(e, ev.DataReceived)) == 70_000
+        assert any(isinstance(e, ev.StreamEnded) for e in events)
+
+    def test_initial_window_change_overflowing_a_stream_is_fatal(self):
+        client, server, _, _ = pair()
+        stream_id = open_response(client, server)
+        client.send_window_update(stream_id, MAX_WINDOW_SIZE - 65_535)
+        pump(client, server)
+        assert server.stream(stream_id).send_window == MAX_WINDOW_SIZE
+        with pytest.raises(H2ConnectionError) as raised:
+            server.receive_data(SettingsFrame(
+                settings=((SettingId.INITIAL_WINDOW_SIZE, 65_536),)
+            ).serialize())
+        assert raised.value.code is ErrorCode.FLOW_CONTROL_ERROR
+        assert goaway_code(server) is ErrorCode.FLOW_CONTROL_ERROR
+
+    def test_stream_window_update_overflow_resets_the_stream(self):
+        client, server, _, _ = pair()
+        stream_id = open_response(client, server)
+        events = server.receive_data(WindowUpdateFrame(
+            stream_id=stream_id, increment=MAX_WINDOW_SIZE
+        ).serialize())
+        resets = [e for e in events if isinstance(e, ev.StreamReset)]
+        assert resets[0].error_code is ErrorCode.FLOW_CONTROL_ERROR
+        assert server.stream(stream_id).closed
+        client_events = pump(server, client)
+        assert any(isinstance(e, ev.StreamReset)
+                   and e.error_code is ErrorCode.FLOW_CONTROL_ERROR
+                   for e in client_events)
+
+    def test_connection_window_update_overflow_is_fatal(self):
+        _, server, _, _ = pair()
+        with pytest.raises(H2ConnectionError) as raised:
+            server.receive_data(WindowUpdateFrame(
+                stream_id=0, increment=MAX_WINDOW_SIZE
+            ).serialize())
+        assert raised.value.code is ErrorCode.FLOW_CONTROL_ERROR
+        assert goaway_code(server) is ErrorCode.FLOW_CONTROL_ERROR
 
     def test_ping_is_acked(self):
         client, server, _, _ = pair()

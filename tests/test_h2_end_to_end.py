@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from repro.h2 import H2ClientSession, H2Server, ServerConfig, TlsClientConfig
+from repro.h2.frames import (
+    CONNECTION_PREFACE,
+    SettingsFrame,
+    WindowUpdateFrame,
+    parse_frames,
+)
+from repro.h2.settings import SettingId
+from repro.h2.tls_channel import TlsClientChannel
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
 
@@ -122,6 +130,31 @@ class TestHandshakeAndRequest:
         run(network)
         assert [r.status for r in responses] == [200, 200, 200]
         assert server.stats.connections == 1
+
+    def test_client_advertises_chromium_windows(self, world, monkeypatch):
+        network, server, make_session, _ = world
+        flights = []
+        original = TlsClientChannel.send_app
+
+        def record(channel, data):
+            flights.append(data)
+            original(channel, data)
+
+        monkeypatch.setattr(TlsClientChannel, "send_app", record)
+        session = make_session()
+        session.connect()
+        run(network)
+        assert flights[0].startswith(CONNECTION_PREFACE)
+        frames, rest = parse_frames(flights[0][len(CONNECTION_PREFACE):])
+        assert rest == b""
+        settings, update = frames[:2]
+        assert isinstance(settings, SettingsFrame)
+        assert (SettingId.INITIAL_WINDOW_SIZE, 6 * 2**20) in \
+            settings.settings
+        assert isinstance(update, WindowUpdateFrame)
+        assert update.stream_id == 0
+        assert update.increment == 15 * 2**20 - 65_535
+        assert session.conn.connection_recv_window == 15 * 2**20
 
 
 class TestOriginFrameEndToEnd:
