@@ -1,13 +1,16 @@
 """The sharded chaos runner: a traced crawl with faults armed.
 
-Mirrors :class:`~repro.dataset.shard.ParallelCrawler.crawl_traced`
-exactly -- same shard plan, same world/crawler seeds, same shard-order
-merge of archives/spans/metrics/audit -- and adds, per shard, a
-:class:`~repro.chaos.inject.FaultInjector` armed before the crawl and
-an explicit :class:`~repro.browser.retry.RetryPolicy` on the browser
-context.  Shards additionally return their fault tallies (plain JSON
-docs) which merge into a :class:`~repro.chaos.report.ChaosReport` by
-counter addition, so the report is byte-identical at any ``--jobs``.
+Each shard is :func:`~repro.dataset.shard.crawl_shard_traced` --
+same shard plan, same world/crawler seeds, same shard span and
+telemetry bundle -- with an explicit
+:class:`~repro.browser.retry.RetryPolicy` on the browser context and a
+:class:`~repro.chaos.inject.FaultInjector` armed before the crawl.
+Shards run on :meth:`~repro.runtime.backend.ExecutionBackend.map_shards`,
+which owns ordering and transport, and merge in shard order like
+:meth:`~repro.dataset.shard.ParallelCrawler.crawl_traced`.  Shards
+additionally return their fault tallies (plain JSON docs) which merge
+into a :class:`~repro.chaos.report.ChaosReport` by counter addition,
+so the report is byte-identical at any ``--jobs``.
 
 With an empty schedule the injector installs nothing, the retry
 policy is never consulted (nothing fails in an unfaulted crawl
@@ -19,12 +22,11 @@ invariant down to ``cmp``.
 
 from __future__ import annotations
 
-import multiprocessing
+from dataclasses import replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
-from repro.audit.log import AuditEvent
 from repro.audit.reasons import ReasonCode
-from repro.browser.policy import policy_by_name
 from repro.browser.retry import RetryPolicy
 from repro.chaos.inject import (
     CHAOS_SEED_DOMAIN,
@@ -33,17 +35,18 @@ from repro.chaos.inject import (
 )
 from repro.chaos.report import ChaosReport
 from repro.chaos.schedule import FaultSchedule
-from repro.dataset.crawler import Crawler, CrawlResult
+from repro.dataset.crawler import CrawlResult
 from repro.dataset.generator import DatasetConfig
 from repro.dataset.shard import (
     CrawlParams,
     ShardResult,
     ShardSpec,
+    crawl_shard_traced,
     derive_seed,
     plan_shards,
 )
-from repro.telemetry import CrawlTrace, Span, Telemetry
-from repro.web.har import HarArchive
+from repro.runtime.backend import ExecutionBackend
+from repro.telemetry import CrawlTrace
 
 #: The default chaos retry policy: two deterministic exponential
 #: retries with a little seeded jitter, loss retries on.
@@ -67,77 +70,31 @@ def chaos_shard_traced(
 ) -> Tuple[ShardResult, List[dict]]:
     """Crawl one shard with faults armed; returns the telemetry
     bundle plus the shard's fault tallies (in schedule order)."""
-    world = spec.build_world()
-    telemetry = Telemetry(
-        clock=world.network.loop.now, trace=trace, audit=audit
-    )
-    crawler = Crawler(
-        world,
-        policy=policy_by_name(params.policy),
-        speculative_rate=params.speculative_rate,
-        dns_latency_ms=params.dns_latency_ms,
-        seed=spec.crawler_seed(params.seed),
-        telemetry=telemetry,
-        alpn=params.alpn,
+
+    def arm(world, crawler, telemetry) -> FaultInjector:
+        injector = FaultInjector(
+            world,
+            schedule,
+            seed=derive_seed(
+                params.seed, CHAOS_SEED_DOMAIN, spec.index,
+                spec.shard_count,
+            ),
+            resolver=crawler.resolver,
+            audit=telemetry.audit,
+        )
+        injector.arm()
+        return injector
+
+    shard_result = crawl_shard_traced(
+        spec, params, trace=trace, audit=audit, arm=arm,
         retry_policy=retry_policy,
         retry_seed=derive_seed(
             params.seed, RETRY_SEED_DOMAIN, spec.index, spec.shard_count
         ),
     )
-    injector = FaultInjector(
-        world,
-        schedule,
-        seed=derive_seed(
-            params.seed, CHAOS_SEED_DOMAIN, spec.index, spec.shard_count
-        ),
-        resolver=crawler.resolver,
-        audit=telemetry.audit,
-    )
-    injector.arm()
-    shard_span = None
-    if telemetry.tracer.enabled:
-        shard_span = telemetry.tracer.begin(
-            "shard", category="crawler", index=spec.index,
-            sites=spec.site_count,
-        )
-    result = crawler.crawl()
-    if shard_span is not None:
-        telemetry.tracer.end(
-            shard_span, attempted=result.attempted,
-            succeeded=result.success_count,
-        )
-    return ShardResult(
-        payload=result,
-        spans=telemetry.tracer.spans,
-        metrics=telemetry.metrics.snapshot(),
-        events=telemetry.audit.events,
-    ), injector.fault_docs()
-
-
-def _chaos_shard_json(
-    payload: Tuple[ShardSpec, CrawlParams, FaultSchedule, RetryPolicy,
-                   bool, bool]
-) -> Tuple[List[str], List[dict], List[dict], List[dict], List[dict]]:
-    """Picklable worker entry point: everything as JSON-able docs."""
-    spec, params, schedule, retry_policy, trace, audit = payload
-    shard_result, fault_docs = chaos_shard_traced(
-        spec, params, schedule, retry_policy, trace=trace, audit=audit
-    )
-    return (
-        [archive.to_json()
-         for archive in shard_result.payload.archives],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
-        [event.to_dict() for event in shard_result.events],
-        fault_docs,
-    )
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
+    # The injector holds the shard's world: keep only its tallies.
+    return (replace(shard_result, extra=None),
+            shard_result.extra.fault_docs())
 
 
 #: Reasons counted as "a request went through a retry".
@@ -159,14 +116,12 @@ class ChaosRunner:
         shard_count: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = config
         self.params = params or CrawlParams()
         self.schedule = schedule or FaultSchedule()
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.shards = plan_shards(config, shard_count)
-        self.jobs = jobs
+        self.backend = ExecutionBackend(jobs)
 
     @property
     def shard_count(self) -> int:
@@ -192,53 +147,22 @@ class ChaosRunner:
             seed=self.config.seed,
             shards=total,
         )
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                shard_result, fault_docs = chaos_shard_traced(
-                    spec, self.params, self.schedule, self.retry_policy,
-                    trace=trace, audit=True,
-                )
-                merged.archives.extend(shard_result.payload.archives)
-                crawl_trace.extend(
-                    list(shard_result.spans), shard=spec.index
-                )
-                crawl_trace.metrics.absorb(shard_result.metrics)
-                crawl_trace.extend_audit(
-                    list(shard_result.events), shard=spec.index
-                )
-                report.absorb_tallies(fault_docs)
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
-        else:
-            payloads = [
-                (spec, self.params, self.schedule, self.retry_policy,
-                 trace, True)
-                for spec in self.shards
-            ]
-            workers = min(self.jobs, total)
-            with _mp_context().Pool(processes=workers) as pool:
-                for done, (lines, span_docs, metrics, event_docs,
-                           fault_docs) in enumerate(
-                        pool.imap(_chaos_shard_json, payloads), start=1):
-                    merged.archives.extend(
-                        HarArchive.from_json(line) for line in lines
-                    )
-                    crawl_trace.extend(
-                        [Span.from_dict(doc) for doc in span_docs],
-                        shard=self.shards[done - 1].index,
-                    )
-                    crawl_trace.metrics.absorb(metrics)
-                    crawl_trace.extend_audit(
-                        [AuditEvent.from_dict(doc) for doc in event_docs],
-                        shard=self.shards[done - 1].index,
-                    )
-                    report.absorb_tallies(fault_docs)
-                    if progress is not None:
-                        progress(done, total)
-                    if watch is not None:
-                        watch(done, total, crawl_trace)
+        results = self.backend.map_shards(
+            partial(chaos_shard_traced, params=self.params,
+                    schedule=self.schedule,
+                    retry_policy=self.retry_policy,
+                    trace=trace, audit=True),
+            self.shards,
+        )
+        for done, (spec, (shard_result, fault_docs)) in enumerate(
+                zip(self.shards, results), start=1):
+            merged.archives.extend(shard_result.payload.archives)
+            crawl_trace.adopt(shard_result, shard=spec.index)
+            report.absorb_tallies(fault_docs)
+            if progress is not None:
+                progress(done, total)
+            if watch is not None:
+                watch(done, total, crawl_trace)
         self._finish_report(report, merged, crawl_trace)
         return merged, crawl_trace, report
 
@@ -282,8 +206,6 @@ def compare_policies(
     policies open fewer connections, but each lost connection takes
     more hostnames down with it (larger mean blast radius)."""
     rows: List[Tuple[str, CrawlResult, ChaosReport]] = []
-    from dataclasses import replace
-
     for policy in policies:
         runner = ChaosRunner(
             config,

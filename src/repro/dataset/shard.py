@@ -23,8 +23,8 @@ streams.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,8 +33,8 @@ from repro.browser.policy import policy_by_name
 from repro.dataset.crawler import Crawler, CrawlResult
 from repro.dataset.generator import DatasetConfig, PageGenerator, SiteRecord
 from repro.dataset.world import SyntheticWorld, build_world
+from repro.runtime.backend import ExecutionBackend
 from repro.telemetry import CrawlTrace, Span, Telemetry
-from repro.web.har import HarArchive
 
 #: Sites per shard when the caller does not pick a layout.
 DEFAULT_SHARD_SIZE = 100
@@ -160,10 +160,14 @@ class ShardResult:
     :class:`~repro.dataset.crawler.CrawlResult` for crawl shards, a
     :class:`~repro.traffic.aggregate.TrafficAggregate` for traffic
     shards); ``spans``/``metrics``/``events`` are the telemetry
-    bundle that :class:`~repro.telemetry.CrawlTrace` merges in shard
-    order.  ``extra`` carries worker-local state that never crosses a
-    process boundary (the traffic shard's
-    :class:`~repro.traffic.edge.EdgeLoadMonitor`).
+    bundle that :meth:`~repro.telemetry.CrawlTrace.adopt` merges in
+    shard order.  :meth:`~repro.runtime.backend.ExecutionBackend.map_shards`
+    owns ordering and transport: at ``jobs > 1`` the whole result is
+    pickled across the process boundary.  ``extra`` carries
+    worker-local state for in-process callers (the traffic shard's
+    :class:`~repro.traffic.edge.EdgeLoadMonitor`, the chaos shard's
+    fault injector); both hold the shard's whole world, so the
+    workloads clear it before a result leaves the shard function.
     """
 
     payload: object
@@ -186,32 +190,35 @@ class CrawlParams:
     alpn: str = "h2"
 
 
-def crawl_shard(spec: ShardSpec, params: CrawlParams) -> CrawlResult:
-    """Build one shard's world and crawl it (runs inside workers)."""
-    world = spec.build_world()
-    crawler = Crawler(
+def _shard_crawler(
+    spec: ShardSpec, params: CrawlParams, world: SyntheticWorld, **options
+) -> Crawler:
+    """The crawler for one shard; ``options`` are extra
+    :class:`~repro.dataset.crawler.Crawler` arguments (telemetry,
+    retry policy)."""
+    return Crawler(
         world,
         policy=policy_by_name(params.policy),
         speculative_rate=params.speculative_rate,
         dns_latency_ms=params.dns_latency_ms,
         seed=spec.crawler_seed(params.seed),
         alpn=params.alpn,
+        **options,
     )
-    return crawler.crawl()
 
 
-def _crawl_shard_json(payload: Tuple[ShardSpec, CrawlParams]) -> List[str]:
-    """Picklable worker entry point: archives as JSON lines."""
-    spec, params = payload
-    return [
-        archive.to_json()
-        for archive in crawl_shard(spec, params).archives
-    ]
+def crawl_shard(spec: ShardSpec, params: CrawlParams) -> CrawlResult:
+    """Build one shard's world and crawl it (runs inside workers)."""
+    return _shard_crawler(spec, params, spec.build_world()).crawl()
 
 
 def crawl_shard_traced(
     spec: ShardSpec, params: CrawlParams,
     trace: bool = True, audit: bool = True,
+    arm: Optional[
+        Callable[[SyntheticWorld, Crawler, Telemetry], object]
+    ] = None,
+    **options,
 ) -> ShardResult:
     """Crawl one shard with live telemetry.
 
@@ -219,25 +226,25 @@ def crawl_shard_traced(
     :class:`~repro.dataset.crawler.CrawlResult`; the spans carry the
     shard's local ids and timestamps (its simulated clock starts at
     zero) and are merged/renumbered by
-    :class:`~repro.telemetry.CrawlTrace` in shard order, as are the
-    audit events.  ``trace``/``audit`` toggle the collectors
+    :meth:`~repro.telemetry.CrawlTrace.adopt` in shard order, as are
+    the audit events.  ``trace``/``audit`` toggle the collectors
     independently; neither draws randomness nor schedules events, so
     the archives are identical to an untraced :func:`crawl_shard` of
     the same spec.
+
+    ``options`` go to the crawler; ``arm`` (if given) runs once the
+    crawler is built, before the shard span opens, and what it returns
+    lands in ``extra`` -- the chaos runner arms its fault injector
+    there.
     """
     world = spec.build_world()
     telemetry = Telemetry(
         clock=world.network.loop.now, trace=trace, audit=audit
     )
-    crawler = Crawler(
-        world,
-        policy=policy_by_name(params.policy),
-        speculative_rate=params.speculative_rate,
-        dns_latency_ms=params.dns_latency_ms,
-        seed=spec.crawler_seed(params.seed),
-        telemetry=telemetry,
-        alpn=params.alpn,
+    crawler = _shard_crawler(
+        spec, params, world, telemetry=telemetry, **options
     )
+    armed = arm(world, crawler, telemetry) if arm is not None else None
     shard_span = None
     if telemetry.tracer.enabled:
         shard_span = telemetry.tracer.begin(
@@ -255,40 +262,17 @@ def crawl_shard_traced(
         spans=telemetry.tracer.spans,
         metrics=telemetry.metrics.snapshot(),
         events=telemetry.audit.events,
-    )
-
-
-def _crawl_shard_traced_json(
-    payload: Tuple[ShardSpec, CrawlParams, bool, bool]
-) -> Tuple[List[str], List[dict], List[dict], List[dict]]:
-    """Picklable traced worker entry: everything as JSON-able docs."""
-    spec, params, trace, audit = payload
-    shard_result = crawl_shard_traced(
-        spec, params, trace=trace, audit=audit
-    )
-    return (
-        [archive.to_json()
-         for archive in shard_result.payload.archives],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
-        [event.to_dict() for event in shard_result.events],
-    )
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
+        extra=armed,
     )
 
 
 class ParallelCrawler:
     """Crawls a dataset shard-by-shard, optionally across processes.
 
-    ``jobs=1`` runs every shard in-process (no serialization); higher
-    job counts fan shards out over a :mod:`multiprocessing` pool and
-    re-inflate the returned HAR JSON.  Both paths merge shard results
-    in shard order, so the output is identical either way.
+    Shards run on an :class:`~repro.runtime.backend.ExecutionBackend`
+    with ``jobs`` workers, which yields their results in shard order;
+    merging them in that order makes the output identical whatever
+    ``jobs`` ran it.
     """
 
     def __init__(
@@ -298,12 +282,10 @@ class ParallelCrawler:
         shard_count: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.config = config
         self.params = params or CrawlParams()
         self.shards = plan_shards(config, shard_count)
-        self.jobs = jobs
+        self.backend = ExecutionBackend(jobs)
 
     @property
     def shard_count(self) -> int:
@@ -316,27 +298,13 @@ class ParallelCrawler:
         """Crawl all shards; ``progress`` gets (done_shards, total)."""
         total = len(self.shards)
         merged = CrawlResult()
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                merged.archives.extend(
-                    crawl_shard(spec, self.params).archives
-                )
-                if progress is not None:
-                    progress(done, total)
-            return merged
-        payloads = [(spec, self.params) for spec in self.shards]
-        workers = min(self.jobs, total)
-        with _mp_context().Pool(processes=workers) as pool:
-            # imap preserves shard order while letting shards finish
-            # out of order in the workers.
-            for done, lines in enumerate(
-                pool.imap(_crawl_shard_json, payloads), start=1
-            ):
-                merged.archives.extend(
-                    HarArchive.from_json(line) for line in lines
-                )
-                if progress is not None:
-                    progress(done, total)
+        results = self.backend.map_shards(
+            partial(crawl_shard, params=self.params), self.shards
+        )
+        for done, result in enumerate(results, start=1):
+            merged.archives.extend(result.archives)
+            if progress is not None:
+                progress(done, total)
         return merged
 
     def crawl_traced(
@@ -357,53 +325,22 @@ class ParallelCrawler:
         ``(done_shards, total, merged_trace_so_far)`` after each shard
         merge -- the run ledger's heartbeat reads live counters there.
         """
-        from repro.audit.log import AuditEvent
-
         total = len(self.shards)
         merged = CrawlResult()
         crawl_trace = CrawlTrace()
-        if self.jobs == 1 or total == 1:
-            for done, spec in enumerate(self.shards, start=1):
-                shard_result = crawl_shard_traced(
-                    spec, self.params, trace=trace, audit=audit
-                )
-                merged.archives.extend(shard_result.payload.archives)
-                crawl_trace.extend(
-                    list(shard_result.spans), shard=spec.index
-                )
-                crawl_trace.metrics.absorb(shard_result.metrics)
-                crawl_trace.extend_audit(
-                    list(shard_result.events), shard=spec.index
-                )
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
-            return merged, crawl_trace
-        payloads = [
-            (spec, self.params, trace, audit) for spec in self.shards
-        ]
-        workers = min(self.jobs, total)
-        with _mp_context().Pool(processes=workers) as pool:
-            for done, (lines, span_docs, metrics, event_docs) in \
-                    enumerate(pool.imap(_crawl_shard_traced_json,
-                                        payloads), start=1):
-                merged.archives.extend(
-                    HarArchive.from_json(line) for line in lines
-                )
-                crawl_trace.extend(
-                    [Span.from_dict(doc) for doc in span_docs],
-                    shard=self.shards[done - 1].index,
-                )
-                crawl_trace.metrics.absorb(metrics)
-                crawl_trace.extend_audit(
-                    [AuditEvent.from_dict(doc) for doc in event_docs],
-                    shard=self.shards[done - 1].index,
-                )
-                if progress is not None:
-                    progress(done, total)
-                if watch is not None:
-                    watch(done, total, crawl_trace)
+        results = self.backend.map_shards(
+            partial(crawl_shard_traced, params=self.params,
+                    trace=trace, audit=audit),
+            self.shards,
+        )
+        for done, (spec, shard_result) in enumerate(
+                zip(self.shards, results), start=1):
+            merged.archives.extend(shard_result.payload.archives)
+            crawl_trace.adopt(shard_result, shard=spec.index)
+            if progress is not None:
+                progress(done, total)
+            if watch is not None:
+                watch(done, total, crawl_trace)
         return merged, crawl_trace
 
 

@@ -14,9 +14,10 @@ Every simulation command is the same five stages:
    for traffic, mid-order) sink.
 
 The pipeline itself is workload-agnostic; byte-identity across
-``--jobs`` comes from the workloads' order-preserving shard merges,
-and output-identity with the legacy CLI comes from the workloads'
-sink ordering.
+``--jobs`` comes from
+:meth:`~repro.runtime.backend.ExecutionBackend.map_shards`, which owns
+shard ordering and transport for every workload, and output-identity
+with the legacy CLI comes from the workloads' sink ordering.
 """
 
 from __future__ import annotations

@@ -100,6 +100,14 @@ class CrawlTrace:
             event.shard = shard
             self.audit.append(event)
 
+    def adopt(self, shard_result, shard: int) -> None:
+        """Merge one shard's telemetry bundle (a
+        :class:`~repro.dataset.shard.ShardResult`): its spans, metrics
+        snapshot and audit events."""
+        self.extend(shard_result.spans, shard=shard)
+        self.metrics.absorb(shard_result.metrics)
+        self.extend_audit(shard_result.events, shard=shard)
+
     # -- export -----------------------------------------------------------
 
     def to_jsonl(self) -> str:

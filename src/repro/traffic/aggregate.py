@@ -202,7 +202,7 @@ class TrafficAggregate:
             for doc in lines
         ) + "\n"
 
-    # -- worker serialization ----------------------------------------------
+    # -- canonical round-trip (every shard takes it before merging) --------
 
     def to_dict(self) -> dict:
         return {

@@ -8,24 +8,27 @@ simulated clock, and every edge event streams into a
 :class:`~repro.traffic.aggregate.TrafficAggregate` the moment it
 happens -- archives are folded and dropped, never retained.
 
-Shards merge in shard order, so ``run_scenario(jobs=4)`` is
+Shards run on :meth:`~repro.runtime.backend.ExecutionBackend.map_shards`
+and merge in shard order, so ``run_scenario(jobs=4)`` is
 byte-identical to ``jobs=1``; the shard *layout* is part of the
 experiment definition, exactly like the crawl's.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.audit.log import AuditEvent
 from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
-from repro.dataset.shard import ShardResult, _mp_context
+from repro.dataset.shard import ShardResult
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import deployment_world_config
 from repro.netsim import Host, LinkSpec
 from repro.obs.phases import PhaseRecorder
-from repro.telemetry import CrawlTrace, Span, Telemetry
+from repro.runtime.backend import ExecutionBackend
+from repro.telemetry import CrawlTrace, Telemetry
 from repro.traffic.aggregate import TrafficAggregate
 from repro.traffic.edge import EdgeLoadMonitor, apply_edge_capacity
 from repro.traffic.population import UserProfile, build_population
@@ -215,8 +218,8 @@ def simulate_shard(
     internally so retry accounting never depends on the flag), its
     spans (empty unless ``trace``), and its metrics snapshot (phase
     histograms and any traced counters).  ``extra`` is the edge
-    monitor, whose sampled passive records are useful in-process; they
-    are not merged across worker boundaries.
+    monitor, whose sampled passive records are useful in-process;
+    :func:`run_scenario` drops it before a result leaves the shard.
     """
     scenario = shard.scenario
     world = _build_traffic_world(scenario)
@@ -312,17 +315,17 @@ def simulate_shard(
     )
 
 
-def _simulate_shard_json(
-    payload: Tuple[UserShard, bool, bool]
-) -> Tuple[dict, List[dict], List[dict], List[dict]]:
-    """Picklable worker entry point: everything as JSON-able docs."""
-    shard, audit, trace = payload
+def _scenario_shard(shard: UserShard, audit: bool, trace: bool) -> ShardResult:
+    """:func:`simulate_shard` as run under ``run_scenario``: the edge
+    monitor (it holds the whole world) is dropped, and the aggregate
+    takes the ``to_dict``/``from_dict`` round-trip that gives its
+    floats their canonical rounding -- on every path, so ``jobs``
+    never changes a byte."""
     shard_result = simulate_shard(shard, audit=audit, trace=trace)
-    return (
-        shard_result.payload.to_dict(),
-        [event.to_dict() for event in shard_result.events],
-        [span.to_dict() for span in shard_result.spans],
-        shard_result.metrics,
+    return replace(
+        shard_result,
+        payload=TrafficAggregate.from_dict(shard_result.payload.to_dict()),
+        extra=None,
     )
 
 
@@ -337,14 +340,11 @@ def run_scenario(
 ) -> Tuple[TrafficAggregate, CrawlTrace]:
     """Run a scenario over its shard plan, merging in shard order.
 
-    Every shard's aggregate round-trips through its worker
-    serialization even in-process, so ``jobs`` never changes a byte
-    (the round-trip is where per-shard floats get their canonical
-    rounding).  ``watch`` (if given) sees the merged-so-far trace
-    after each shard -- the run ledger's heartbeat hook.
+    Shards run on an :class:`~repro.runtime.backend.ExecutionBackend`
+    with ``jobs`` workers, which yields them in shard order.
+    ``watch`` (if given) sees the merged-so-far trace after each
+    shard -- the run ledger's heartbeat hook.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     shards = plan_user_shards(scenario, shard_count)
     total = len(shards)
     merged = TrafficAggregate(
@@ -353,40 +353,17 @@ def run_scenario(
         shard_count=total,
     )
     crawl_trace = CrawlTrace()
-
-    def adopt(done: int, shard_index: int, doc, event_docs,
-              span_docs, metrics) -> None:
-        merged.merge(TrafficAggregate.from_dict(doc))
-        crawl_trace.extend(
-            [Span.from_dict(d) for d in span_docs], shard=shard_index
-        )
-        crawl_trace.extend_audit(
-            [AuditEvent.from_dict(d) for d in event_docs],
-            shard=shard_index,
-        )
-        crawl_trace.metrics.absorb(metrics)
+    results = ExecutionBackend(jobs).map_shards(
+        partial(_scenario_shard, audit=audit, trace=trace), shards
+    )
+    for done, (shard, shard_result) in enumerate(
+            zip(shards, results), start=1):
+        merged.merge(shard_result.payload)
+        crawl_trace.adopt(shard_result, shard=shard.index)
         if progress is not None:
             progress(done, total)
         if watch is not None:
             watch(done, total, crawl_trace)
-
-    if jobs == 1 or total == 1:
-        for done, shard in enumerate(shards, start=1):
-            doc, event_docs, span_docs, metrics = _simulate_shard_json(
-                (shard, audit, trace)
-            )
-            adopt(done, shard.index, doc, event_docs, span_docs, metrics)
-        return merged, crawl_trace
-    payloads = [(shard, audit, trace) for shard in shards]
-    workers = min(jobs, total)
-    with _mp_context().Pool(processes=workers) as pool:
-        # imap preserves shard order while letting shards finish out
-        # of order in the workers.
-        for done, (doc, event_docs, span_docs, metrics) in enumerate(
-            pool.imap(_simulate_shard_json, payloads), start=1
-        ):
-            adopt(done, shards[done - 1].index, doc, event_docs,
-                  span_docs, metrics)
     return merged, crawl_trace
 
 

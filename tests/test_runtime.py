@@ -1,17 +1,100 @@
 """The unified run pipeline: options, scenarios, and ``repro run``."""
 
 import argparse
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.cli.args import _nonnegative_int, _parse_breakdown, _positive_int
 from repro.runtime import (
+    ExecutionBackend,
     InstrumentationOptions,
     ScenarioError,
     load_scenario,
     parse_scenario,
 )
+
+
+def _earliest_slowest(n):
+    """Sleeps longest on the earliest payloads, so a pool finishes
+    them last; returns when it finished and in which process."""
+    time.sleep(0.1 * (3 - n))
+    return n * n, time.monotonic(), os.getpid()
+
+
+class ShardFailure(Exception):
+    pass
+
+
+def _fail_on_two(n):
+    if n == 2:
+        raise ShardFailure(f"shard {n} failed")
+    return n
+
+
+@pytest.fixture
+def no_hang():
+    """Turn a hung pool into a test failure instead of a stuck suite."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("map_shards hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestExecutionBackend:
+    def test_pool_yields_in_payload_order(self, no_hang):
+        results = list(
+            ExecutionBackend(2).map_shards(_earliest_slowest, range(4))
+        )
+        assert [square for square, _, _ in results] == [0, 1, 4, 9]
+        finished = [at for _, at, _ in results]
+        # The shards really did finish out of order in the workers.
+        assert finished[1] < finished[0]
+        assert os.getpid() not in {pid for _, _, pid in results}
+
+    def test_one_job_runs_in_process_without_pickling(self):
+        # A lambda cannot be pickled: jobs=1 must never try.
+        results = ExecutionBackend(1).map_shards(
+            lambda n: (n, os.getpid()), [1, 2]
+        )
+        assert list(results) == [(1, os.getpid()), (2, os.getpid())]
+
+    def test_single_payload_runs_in_process(self):
+        results = ExecutionBackend(4).map_shards(lambda n: n + 1, [1])
+        assert list(results) == [2]
+
+    def test_one_job_is_lazy(self):
+        seen = []
+        results = ExecutionBackend(1).map_shards(seen.append, [1, 2])
+        assert seen == []
+        next(results)
+        assert seen == [1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shard_exception_reaches_the_caller(self, jobs, no_hang):
+        with pytest.raises(ShardFailure, match="shard 2 failed"):
+            list(ExecutionBackend(jobs).map_shards(_fail_on_two, range(4)))
+        # The pool was torn down, not left waiting on its workers.
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExecutionBackend(jobs).map_shards(_fail_on_two, [1, 2])
 
 
 class TestValidators:

@@ -5,6 +5,8 @@ sites) -- the full-size determinism and what-if checks live in the CI
 ``traffic-smoke`` job and ``benchmarks/bench_traffic.py``.
 """
 
+import json
+
 import pytest
 
 from repro.audit.log import events_to_jsonl
@@ -247,14 +249,18 @@ class TestRunScenario:
     def test_jobs_do_not_change_a_byte(self):
         scenario = tiny_scenario()
         serial, serial_trace = run_scenario(
-            scenario, shard_count=2, jobs=1
+            scenario, shard_count=2, jobs=1, trace=True
         )
         parallel, parallel_trace = run_scenario(
-            scenario, shard_count=2, jobs=2
+            scenario, shard_count=2, jobs=2, trace=True
         )
         assert serial.to_jsonl() == parallel.to_jsonl()
         assert events_to_jsonl(serial_trace.audit) == \
             events_to_jsonl(parallel_trace.audit)
+        assert serial_trace.spans
+        assert serial_trace.to_jsonl() == parallel_trace.to_jsonl()
+        assert json.dumps(serial_trace.metrics.snapshot()) == \
+            json.dumps(parallel_trace.metrics.snapshot())
 
     def test_shard_count_is_part_of_the_experiment(self):
         scenario = tiny_scenario()
