@@ -77,31 +77,14 @@ class BrowserContext:
     #: pre-h3 browser; ``("h2", "h3")`` adds the QUIC dialer, HTTPS
     #: DNS-record awareness, and Alt-Svc upgrades.
     alpn: Sequence[str] = ("h2",)
-    #: How many times a request may be re-dialed after an edge refused
-    #: the connection with an overload GOAWAY (ENHANCE_YOUR_CALM).  0
-    #: (the default) keeps the pre-capacity-model behaviour: the
-    #: refusal surfaces as a failed request.
-    goaway_retry_limit: int = 0
-    #: Base backoff before an overload retry; attempt ``n`` waits
-    #: ``n * backoff`` so repeated refusals spread out.
-    goaway_retry_backoff_ms: float = 120.0
-    #: The unified retry policy.  ``None`` derives one from the two
-    #: legacy GOAWAY fields above (linear backoff, no jitter, no
-    #: connection-loss retries), so existing configurations keep
-    #: their exact behaviour through the single retry code path.
-    retry_policy: Optional[RetryPolicy] = None
+    #: The unified retry policy.  The default allows no retries: an
+    #: overload GOAWAY (ENHANCE_YOUR_CALM) or a lost connection
+    #: surfaces as a failed request.
+    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Dedicated generator for retry jitter draws.  Kept separate
     #: from :attr:`rng` so enabling jittered retries never perturbs
     #: the TLS-version / speculative-connection decision stream.
     retry_rng: Optional[np.random.Generator] = None
-
-    @property
-    def effective_retry_policy(self) -> RetryPolicy:
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy.legacy_goaway(
-            self.goaway_retry_limit, self.goaway_retry_backoff_ms
-        )
 
     @property
     def tracer(self):
@@ -505,7 +488,7 @@ class PageLoad:
 
     def _maybe_retry(self, state: _FetchState, overload: bool) -> bool:
         """The single retry decision point for both failure classes."""
-        policy = self.context.effective_retry_policy
+        policy = self.context.retry_policy
         if overload:
             if not policy.allows(state.goaway_retries + 1):
                 return False
@@ -528,6 +511,7 @@ class PageLoad:
         state.attempt += 1  # invalidate the dead attempt's callbacks
         state.coalesced = False
         state.reason = reason
+        self.engine.retries += 1
         audit = self.context.audit
         if audit.enabled:
             audit.record(
@@ -555,6 +539,7 @@ class PageLoad:
         the exhaustion (not a generic request failure) as its
         reason."""
         state.reason = ReasonCode.RETRY_EXHAUSTED
+        self.engine.retries += 1
         audit = self.context.audit
         if audit.enabled:
             audit.record(
@@ -895,7 +880,11 @@ class BrowserEngine:
     def __init__(self, context: BrowserContext) -> None:
         self.context = context
         self.cache = BrowserCache(enabled=context.cache_enabled)
-        self.loads: List[PageLoad] = []
+        #: The most recent page load; earlier ones are not kept.
+        self.last_load: Optional[PageLoad] = None
+        #: Retry decisions across every load: one per ``"retry"``
+        #: audit event (re-dials plus exhausted retry budgets).
+        self.retries = 0
         #: Hostnames whose responses advertised ``Alt-Svc: h3``;
         #: subsequent fetches to them dial QUIC.
         self.alt_svc_h3: set = set()
@@ -911,7 +900,7 @@ class BrowserEngine:
         Run the network's event loop to drive the load to completion.
         """
         load = PageLoad(self, page, on_complete)
-        self.loads.append(load)
+        self.last_load = load
         load.start()
         return load
 

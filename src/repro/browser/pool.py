@@ -15,13 +15,14 @@ a separate credential-less partition and never reuse (or donate)
 connections across the partition boundary, which is the §5.3
 observation that capped coalescing in the deployment.
 
-Lookups are indexed: the pool keeps a hostname->connections map (for
-same-host reuse) and an IP->connections map (consulted when the active
-policy only grants reuse on address overlap), so neither hot path
-scans every open connection.  :class:`PoolStats` counts how each
-lookup was answered, and dead (closed/failed) sessions are pruned from
-the registry and both indexes as soon as a lookup or accounting path
-touches them.
+Lookups are indexed: the pool keeps exactly two maps, hostname->
+connections (for same-host reuse) and IP->connections (consulted when
+the active policy only grants reuse on address overlap), so neither
+hot path scans every open connection; the linear scan survives only as
+the reference oracle the indexed lookup is tested against.
+:class:`PoolStats` counts how each lookup was answered, and dead
+(closed/failed) sessions are pruned from the registry and both indexes
+as soon as a lookup or accounting path touches them.
 
 Every lookup returns a :class:`LookupOutcome` whose
 :class:`~repro.audit.reasons.ReasonCode` says *why* the connection was
@@ -39,7 +40,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.audit.log import NULL_AUDIT
@@ -124,10 +124,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
         super().__init__()
         self.by_sni: Dict[str, List[ConnectionFacts]] = {}
         self.by_ip: Dict[str, List[ConnectionFacts]] = {}
-        #: (sni, transport-name) -> connections; the endpoint index
-        #: that lets callers distinguish an h3 (quic) entry from a
-        #: tcp-tls one for the same hostname.
-        self.by_endpoint: Dict[Tuple[str, str], List[ConnectionFacts]] = {}
         self._next_seq = 0
         for facts in items:
             self.append(facts)
@@ -139,9 +135,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
         self._next_seq += 1
         super().append(facts)
         self.by_sni.setdefault(facts.sni, []).append(facts)
-        self.by_endpoint.setdefault(
-            (facts.sni, facts.transport_name), []
-        ).append(facts)
         for ip in self._addresses_of(facts):
             self.by_ip.setdefault(ip, []).append(facts)
 
@@ -160,18 +153,12 @@ class ConnectionRegistry(List[ConnectionFacts]):
         super().clear()
         self.by_sni.clear()
         self.by_ip.clear()
-        self.by_endpoint.clear()
 
     def _unindex(self, facts: ConnectionFacts) -> None:
         bucket = self.by_sni.get(facts.sni, [])
         self._remove_identity(bucket, facts)
         if not bucket:
             self.by_sni.pop(facts.sni, None)
-        endpoint_key = (facts.sni, facts.transport_name)
-        bucket = self.by_endpoint.get(endpoint_key, [])
-        self._remove_identity(bucket, facts)
-        if not bucket:
-            self.by_endpoint.pop(endpoint_key, None)
         for ip in self._addresses_of(facts):
             bucket = self.by_ip.get(ip, [])
             self._remove_identity(bucket, facts)
@@ -198,13 +185,6 @@ class ConnectionRegistry(List[ConnectionFacts]):
     def for_host(self, hostname: str) -> List[ConnectionFacts]:
         """Connections with this SNI, in pool insertion order."""
         return self.by_sni.get(hostname, [])
-
-    def for_endpoint(
-        self, hostname: str, transport: str
-    ) -> List[ConnectionFacts]:
-        """Connections with this SNI on this transport, in pool
-        insertion order."""
-        return self.by_endpoint.get((hostname, transport), [])
 
     def candidates_for_ips(
         self, addresses: Sequence[str]

@@ -189,8 +189,8 @@ class Crawler:
         """Fold the finished page's layer counters into the crawl-level
         registry and record its load-time histogram."""
         metrics = self.telemetry.metrics
-        if self.engine.loads:
-            metrics.absorb(self.engine.loads[-1].pool.stats.registry)
+        if self.engine.last_load is not None:
+            metrics.absorb(self.engine.last_load.pool.stats.registry)
         metrics.counter("crawler.pages_attempted").inc()
         if archive.page.success:
             metrics.counter("crawler.pages_succeeded").inc()

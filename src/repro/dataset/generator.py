@@ -132,9 +132,6 @@ class PageGenerator:
             )
             for p in profiles.PROVIDERS
         ])
-        self._tail_site_share = max(
-            0.0, 1.0 - float(self._provider_site_shares.sum())
-        )
         self._global_types = [t for t, _ in profiles.CONTENT_TYPE_WEIGHTS]
         weights = np.array([w for _, w in profiles.CONTENT_TYPE_WEIGHTS])
         self._global_type_weights = weights / weights.sum()

@@ -120,8 +120,6 @@ class H2ClientSession(Session):
         self.on_origin_received: Optional[
             Callable[[Tuple[str, ...]], None]
         ] = None
-        self.responses: List[H2Response] = []
-        self.misdirected: List[H2Response] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.audit = audit if audit is not None else NULL_AUDIT
         self.page = page
@@ -551,7 +549,6 @@ class H2ClientSession(Session):
             headers_at=pending.headers_at or pending.sent_at,
             finished_at=self.network.loop.now(),
         )
-        self.responses.append(response)
         self._end_stream_span(stream_id, status=response.status)
         if response.status == 421:
             if self.audit.enabled:
@@ -560,7 +557,6 @@ class H2ClientSession(Session):
                     page=self.page, hostname=response.authority,
                     path=response.path, sni=self.tls_config.sni,
                 )
-            self.misdirected.append(response)
         pending.callback(response)
         self._drain_stream_queue()
 

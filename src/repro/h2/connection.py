@@ -75,7 +75,6 @@ class H2Connection:
         self._decoder = HpackDecoder()
         self._initiated = False
         self._goaway_sent = False
-        self._goaway_received = False
         self._expected_continuation: Optional[Tuple[int, bytearray, bool]] = None
         self.connection_send_window = self.remote_settings.initial_window_size
         self.connection_recv_window = self.local_settings.initial_window_size
@@ -317,7 +316,6 @@ class H2Connection:
         )
 
     def _on_goaway(self, frame: fr.GoAwayFrame) -> List[ev.Event]:
-        self._goaway_received = True
         return [
             ev.GoAwayReceived(
                 last_stream_id=frame.last_stream_id,

@@ -187,9 +187,7 @@ class TlsClientChannel(TlsChannel):
         super().__init__(transport)
         self.config = config
         self.server_chain: List[Certificate] = []
-        self._finished_sent = False
         self.resumed = False
-        self._offered_ticket: Optional[str] = None
         self.tracer = config.tracer if config.tracer is not None \
             else NULL_TRACER
         self.audit = config.audit if config.audit is not None \
@@ -212,7 +210,6 @@ class TlsClientChannel(TlsChannel):
         if cache is not None and self.config.tls13:
             cached = cache.get(self.config.sni)
             if cached is not None:
-                self._offered_ticket = cached[0]
                 hello["ticket"] = cached[0]
         self.observed_sni = hello["sni"]
         self.transport.send(

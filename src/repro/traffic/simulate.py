@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.browser import BrowserContext, BrowserEngine
 from repro.browser.policy import policy_by_name
+from repro.browser.retry import RetryPolicy
 from repro.dataset.shard import ShardResult
 from repro.dataset.world import CDN_REGION, TAIL_REGION, build_world
 from repro.deployment.experiment import deployment_world_config
@@ -200,8 +201,10 @@ def _user_engine(
         tls_session_cache={},
         telemetry=telemetry,
         alpn=("h2",),
-        goaway_retry_limit=scenario.goaway_retry_limit,
-        goaway_retry_backoff_ms=scenario.goaway_retry_backoff_ms,
+        retry_policy=RetryPolicy(
+            max_retries=scenario.goaway_retry_limit,
+            backoff_base_ms=scenario.goaway_retry_backoff_ms,
+        ),
         phases=phases,
     )
     return BrowserEngine(context)
@@ -214,8 +217,8 @@ def simulate_shard(
 
     Returns a :class:`~repro.dataset.shard.ShardResult` whose payload
     is the shard's :class:`TrafficAggregate`, bundled with its audit
-    events (empty when ``audit`` is off; decisions are still audited
-    internally so retry accounting never depends on the flag), its
+    events (empty unless ``audit``; retries are counted by the engines
+    as they happen, so the aggregate never depends on the flag), its
     spans (empty unless ``trace``), and its metrics snapshot (phase
     histograms and any traced counters).  ``extra`` is the edge
     monitor, whose sampled passive records are useful in-process;
@@ -232,7 +235,7 @@ def simulate_shard(
         bucket_ms=scenario.bucket_ms,
         shard_count=shard.shard_count,
     )
-    telemetry = Telemetry(clock=loop.now, trace=trace, audit=True)
+    telemetry = Telemetry(clock=loop.now, trace=trace, audit=audit)
     monitor = EdgeLoadMonitor(
         world, aggregate,
         sample_rate=scenario.passive_sample_rate,
@@ -276,11 +279,6 @@ def simulate_shard(
                 tally.plt_total_ms += archive.page.on_load
             else:
                 tally.failed += 1
-            # Bounded memory: finished loads (and their archives) are
-            # dropped immediately; only the fold above survives.
-            engine.loads[:] = [
-                load for load in engine.loads if not load.finished
-            ]
 
         engine.load(hosted.record.page, on_complete)
 
@@ -297,10 +295,7 @@ def simulate_shard(
     for user_id in sorted(engines):
         resolver = engines[user_id].context.resolver
         aggregate.dns_queries += resolver.stats.queries
-    events = telemetry.audit.events
-    aggregate.retries = sum(
-        1 for event in events if event.kind == "retry"
-    )
+        aggregate.retries += engines[user_id].retries
     for name in sorted(aggregate.edges):
         aggregate.totals.merge(aggregate.edges[name])
     # Per-edge peaks sum replica-style in ``merge``; the fleet total is
@@ -310,7 +305,7 @@ def simulate_shard(
         payload=aggregate,
         spans=(telemetry.tracer.spans if trace else []),
         metrics=telemetry.metrics.snapshot(),
-        events=(events if audit else []),
+        events=telemetry.audit.events,
         extra=monitor,
     )
 

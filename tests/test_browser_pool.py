@@ -306,7 +306,6 @@ class TestMidPathRstEviction:
         assert len(registry) == 0
         assert registry.for_host("www.a.com") == []
         assert registry.by_ip.get("10.0.0.1", []) == []
-        assert registry.for_endpoint("www.a.com", "tcp-tls") == []
         assert pool.stats.pruned_connections == 1
 
     def test_eviction_records_exactly_one_audit_event(self):
@@ -333,7 +332,7 @@ class TestMidPathRstEviction:
 
 
 class TestRegistryChurn:
-    """Open/close storms: the registry's three indexes and the pool's
+    """Open/close storms: the registry's two indexes and the pool's
     counters stay exactly consistent however connections churn."""
 
     @staticmethod
@@ -342,9 +341,6 @@ class TestRegistryChurn:
         index holds anything else, and no bucket is empty."""
         for facts in registry:
             assert facts in registry.by_sni[facts.sni]
-            assert facts in registry.by_endpoint[
-                (facts.sni, facts.transport_name)
-            ]
             for ip in facts.available_set | {facts.connected_ip}:
                 assert facts in registry.by_ip[ip]
         indexed = {
@@ -352,8 +348,7 @@ class TestRegistryChurn:
             for facts in bucket
         }
         assert indexed == {id(facts) for facts in registry}
-        for index in (registry.by_sni, registry.by_ip,
-                      registry.by_endpoint):
+        for index in (registry.by_sni, registry.by_ip):
             for bucket in index.values():
                 assert bucket  # empty buckets are deleted, not kept
 
@@ -417,7 +412,6 @@ class TestRegistryChurn:
         assert list(registry) == []
         assert registry.by_sni == {}
         assert registry.by_ip == {}
-        assert registry.by_endpoint == {}
 
     def test_pool_seq_survives_churn_and_keeps_ordering(self):
         pool = make_pool(policy=ChromiumPolicy())

@@ -38,8 +38,6 @@ from repro.dataset.world import build_world
 from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.telemetry import Telemetry
-from repro.traffic import plan_user_shards, simulate_shard
-from repro.traffic.scenario import ScenarioConfig
 
 
 def tiny_params(**overrides) -> CrawlParams:
@@ -306,13 +304,12 @@ class TestBlastRadius:
 
 
 def assert_registry_consistent(registry):
-    """The three lookup indexes and the list agree exactly."""
+    """The two lookup indexes and the list agree exactly."""
     listed = {id(facts) for facts in registry}
-    for bucket_map in (registry.by_sni, registry.by_endpoint):
-        indexed = {id(facts) for bucket in bucket_map.values()
-                   for facts in bucket}
-        assert indexed == listed
-        assert all(bucket for bucket in bucket_map.values())
+    indexed = {id(facts) for bucket in registry.by_sni.values()
+               for facts in bucket}
+    assert indexed == listed
+    assert all(bucket for bucket in registry.by_sni.values())
     ip_indexed = {id(facts) for bucket in registry.by_ip.values()
                   for facts in bucket}
     assert ip_indexed <= listed
@@ -320,14 +317,12 @@ def assert_registry_consistent(registry):
     for facts in registry:
         assert any(entry is facts
                    for entry in registry.by_sni.get(facts.sni, ()))
-        assert any(entry is facts for entry in registry.by_endpoint.get(
-            (facts.sni, facts.transport_name), ()))
 
 
 class TestRegistryUnderStorms:
     def test_indexes_never_dangle(self):
         """Storms, crashes, and random loss rip connections out of the
-        pool mid-crawl; after pruning, by_sni/by_ip/by_endpoint must
+        pool mid-crawl; after pruning, by_sni/by_ip must
         hold exactly the live entries -- no dangling facts, no empty
         buckets."""
         schedule = FaultSchedule(faults=(
@@ -361,7 +356,7 @@ class TestRegistryUnderStorms:
             crawler.crawl_site(hosted)
             if not hosted.record.accessible:
                 continue  # nothing was loaded; no pool to inspect
-            pool = crawler.engine.loads[-1].pool
+            pool = crawler.engine.last_load.pool
             pool.open_count  # lazily prunes dead connections
             for facts in pool.connections:
                 assert not facts.session.closed
@@ -468,46 +463,13 @@ class TestMiddleboxFaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Legacy GOAWAY knobs == explicit RetryPolicy (satellite: consolidation)
+# The overload retry policy traffic builds from its scenario
 # ---------------------------------------------------------------------------
 
 
 class TestLegacyGoawayEquivalence:
-    def test_traffic_overload_audit_is_identical(self, monkeypatch):
-        """The traffic simulator's legacy goaway_retry_limit/backoff
-        knobs must route through the unified RetryPolicy with zero
-        behaviour change: pinning the equivalent explicit policy
-        yields a byte-identical audit stream."""
-        scenario = ScenarioConfig(
-            users=16, site_count=6, seed=2022, duration_ms=8_000.0,
-            mean_visits_per_user=2.0, bucket_ms=2_000.0,
-            edge_capacity=2,
-        )
-        shard = plan_user_shards(scenario, 1)[0]
-        baseline = simulate_shard(shard)
-        assert baseline.payload.retries > 0  # overload actually bites
-
-        original_init = BrowserEngine.__init__
-
-        def pin_explicit_policy(self, context):
-            if context.retry_policy is None:
-                context.retry_policy = RetryPolicy.legacy_goaway(
-                    context.goaway_retry_limit,
-                    context.goaway_retry_backoff_ms,
-                )
-            original_init(self, context)
-
-        monkeypatch.setattr(BrowserEngine, "__init__",
-                            pin_explicit_policy)
-        pinned = simulate_shard(shard)
-
-        assert events_to_jsonl(baseline.events) \
-            == events_to_jsonl(pinned.events)
-        assert baseline.payload.retries == pinned.payload.retries
-        assert baseline.payload.failed == pinned.payload.failed
-
     def test_legacy_goaway_policy_shape(self):
-        policy = RetryPolicy.legacy_goaway(2, 120.0)
+        policy = RetryPolicy(max_retries=2)
         assert policy.max_retries == 2
         assert not policy.retry_connection_loss
         assert policy.jitter_ms == 0.0

@@ -1,5 +1,8 @@
 """End-to-end tests: H2 client and ORIGIN-frame server over netsim."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,7 +240,6 @@ class TestMisdirectedRequest:
         run(network)
         assert responses[0].status == 421
         assert server.stats.misdirected == 1
-        assert session.misdirected == responses
 
     def test_421_does_not_kill_connection(self, world):
         network, _, make_session, _ = world
@@ -252,6 +254,28 @@ class TestMisdirectedRequest:
         session.connect(on_ready=go)
         run(network)
         assert [r.status for r in responses] == [421, 200]
+
+
+class TestResponsesNotRetained:
+    def test_response_dies_with_its_callback(self, world):
+        """The session hands each response to its callback and keeps
+        no reference: once the callback returns, the body is garbage
+        even though the connection stays open."""
+        network, _, make_session, _ = world
+        session = make_session()
+        refs = []
+
+        def keep_weakly(response):
+            assert response.status == 200 and response.body
+            refs.append(weakref.ref(response))
+
+        session.connect(on_ready=lambda: session.request(
+            "www.example.com", "/", keep_weakly))
+        run(network)
+        gc.collect()
+        assert len(refs) == 1
+        assert not session.closed and session.failed is None
+        assert refs[0]() is None
 
 
 class TestConnectionTiming:

@@ -1,5 +1,8 @@
 """Unit tests for the HTTP/1.1 text framing and protocols."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,3 +163,12 @@ class TestClientProtocol:
         protocol.request("a.com", "/missing", responses.append)
         protocol.on_app_data(build_response(404, [], b""))
         assert responses[0].status == 404
+
+    def test_response_not_retained(self):
+        protocol, _, _ = self.make()
+        refs = []
+        protocol.request("a.com", "/1",
+                         lambda response: refs.append(weakref.ref(response)))
+        protocol.on_app_data(build_response(200, [], b"body"))
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None

@@ -222,7 +222,7 @@ class TestMidPathRst:
                                                world_and_experiment):
         world, experiment = world_and_experiment
         archive, engine, _ = self.load_with_rst(world, experiment)
-        pool = engine.loads[-1].pool
+        pool = engine.last_load.pool
         # open_count prunes lazily: after it, no aborted session may
         # remain anywhere in the registry.
         pool.open_count

@@ -234,6 +234,26 @@ class TestSimulateShard:
         assert ReasonCode.EDGE_OVERLOAD_GOAWAY.value in reasons
         assert ReasonCode.MISS_RETRY_AFTER_GOAWAY.value in reasons
 
+    def test_audit_does_not_perturb_the_aggregate(self):
+        """Retries are counted as they happen, so an unaudited shard
+        keeps no audit log at all, its aggregate is the same as the
+        audited one's, and the retry headline equals the audit
+        stream's ``"retry"`` event count."""
+        shard = plan_user_shards(
+            tiny_scenario(users=16, edge_capacity=2), 1,
+        )[0]
+        audited = simulate_shard(shard, audit=True)
+        unaudited = simulate_shard(shard, audit=False)
+        assert unaudited.events == []
+        assert not unaudited.extra.audit.enabled
+        assert unaudited.extra.audit.events == []
+        assert unaudited.payload.to_jsonl() == audited.payload.to_jsonl()
+        assert json.dumps(unaudited.metrics) == json.dumps(audited.metrics)
+        retry_events = sum(
+            1 for event in audited.events if event.kind == "retry"
+        )
+        assert audited.payload.retries == retry_events > 0
+
     def test_zero_retry_budget_degrades_gracefully(self):
         shard = plan_user_shards(
             tiny_scenario(users=16, edge_capacity=2,
