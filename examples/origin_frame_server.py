@@ -23,8 +23,8 @@ from repro.h2 import (
     OriginFrame,
     ServerConfig,
     TlsClientConfig,
-    parse_frame,
 )
+from repro.h2.frames import consume_frames
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
 
@@ -57,7 +57,7 @@ def main():
     frame = OriginFrame(origins=origin_set)
     wire = frame.serialize()
     print("ORIGIN frame bytes:", wire.hex(" "))
-    reparsed, _ = parse_frame(wire)
+    (reparsed,) = consume_frames(bytearray(wire))
     print(f"  type=0x{reparsed.type_code:X} stream={reparsed.stream_id} "
           f"origins={list(reparsed.origins)}\n")
 

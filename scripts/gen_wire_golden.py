@@ -29,8 +29,8 @@ from repro.transport.framing import (
     REC_FINISHED,
     REC_HELLO,
     REC_TICKET,
+    consume_records,
     pack_record,
-    parse_records,
 )
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -95,8 +95,9 @@ def frame_corpus():
     for name, cls, kwargs in specs:
         frame = cls(**kwargs)
         wire = frame.serialize()
-        reparsed, rest = fr.parse_frame(wire)
-        assert rest == b"", name
+        buffer = bytearray(wire)
+        (reparsed,) = fr.consume_frames(buffer)
+        assert not buffer, name
         vectors.append({
             "name": name,
             "cls": cls.__name__,
@@ -187,8 +188,9 @@ def record_corpus():
             "payload": payload.hex(),
             "hex": wire.hex(),
         })
-    parsed, rest = parse_records(stream)
-    assert rest == b"" and len(parsed) == len(records)
+    buffer = bytearray(stream)
+    parsed = consume_records(buffer)
+    assert not buffer and len(parsed) == len(records)
     return {"records": vectors, "stream_hex": stream.hex()}
 
 

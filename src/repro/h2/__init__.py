@@ -36,8 +36,6 @@ from repro.h2.frames import (
     SettingsFrame,
     UnknownFrame,
     WindowUpdateFrame,
-    parse_frame,
-    parse_frames,
 )
 from repro.h2.hpack import HpackDecoder, HpackEncoder
 from repro.h2.settings import SettingId, Settings
@@ -67,8 +65,6 @@ __all__ = [
     "SettingsFrame",
     "UnknownFrame",
     "WindowUpdateFrame",
-    "parse_frame",
-    "parse_frames",
     "HpackDecoder",
     "HpackEncoder",
     "SettingId",

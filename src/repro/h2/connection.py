@@ -112,10 +112,6 @@ class H2Connection:
         self._outbound.clear()
         return data
 
-    @property
-    def open_stream_count(self) -> int:
-        return sum(1 for s in self._streams.values() if not s.closed)
-
     def stream(self, stream_id: int) -> Optional[Stream]:
         return self._streams.get(stream_id)
 

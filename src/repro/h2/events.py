@@ -111,9 +111,3 @@ class UnknownFrameReceived(Event):
     raw_type: int
     stream_id: int
     payload_length: int
-
-
-@dataclass
-class ConnectionTerminated(Event):
-    error_code: ErrorCode
-    last_stream_id: int = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.h2.errors import ErrorCode, H2ConnectionError
 
@@ -74,17 +74,9 @@ class Frame:
         raise NotImplementedError
 
     def serialize(self) -> bytes:
-        body = self.payload()
-        if len(body) > MAX_FRAME_LENGTH:
-            raise H2ConnectionError(
-                ErrorCode.FRAME_SIZE_ERROR,
-                f"payload of {len(body)} bytes exceeds the 24-bit length",
-            )
-        return _HEADER_STRUCT.pack(
-            (len(body) << 8) | self.type_code,
-            self.flags,
-            self.stream_id & 0x7FFFFFFF,
-        ) + body
+        out = bytearray()
+        self.serialize_into(out)
+        return bytes(out)
 
     def serialize_into(self, out: bytearray) -> None:
         """Append this frame's wire bytes to ``out`` without building an
@@ -558,23 +550,6 @@ def _parse_body(frame_type: int, stream_id: int, flags: int,
     return parser(stream_id, flags, body)
 
 
-def parse_frame(buffer: bytes) -> Tuple[Optional[Frame], bytes]:
-    """Parse one frame off the front of ``buffer``.
-
-    Returns ``(frame, remaining)``; ``(None, buffer)`` when the buffer
-    does not yet hold a complete frame.
-    """
-    if len(buffer) < FRAME_HEADER_LEN:
-        return None, buffer
-    word, flags, stream_id = _HEADER_STRUCT.unpack_from(buffer, 0)
-    length = word >> 8
-    if len(buffer) < FRAME_HEADER_LEN + length:
-        return None, buffer
-    body = bytes(buffer[FRAME_HEADER_LEN : FRAME_HEADER_LEN + length])
-    frame = _parse_body(word & 0xFF, stream_id & 0x7FFFFFFF, flags, body)
-    return frame, buffer[FRAME_HEADER_LEN + length :]
-
-
 def _parse_origin(stream_id: int, flags: int, body: bytes) -> Frame:
     """Parse an ORIGIN payload; malformed entries invalidate the frame.
 
@@ -605,41 +580,14 @@ def _parse_origin(stream_id: int, flags: int, body: bytes) -> Frame:
     return OriginFrame(stream_id=0, flags=flags, origins=tuple(origins))
 
 
-def parse_frames(buffer: bytes) -> Tuple[List[Frame], bytes]:
-    """Parse as many complete frames as the buffer holds.
-
-    The buffer is walked with a ``memoryview`` and an offset, so a burst
-    of N frames costs one tail copy instead of N shrinking-buffer
-    copies.
-    """
-    frames: List[Frame] = []
-    view = memoryview(buffer)
-    total = len(view)
-    offset = 0
-    while total - offset >= FRAME_HEADER_LEN:
-        word, flags, stream_id = _HEADER_STRUCT.unpack_from(view, offset)
-        length = word >> 8
-        end = offset + FRAME_HEADER_LEN + length
-        if end > total:
-            break
-        body = bytes(view[offset + FRAME_HEADER_LEN : end])
-        frames.append(
-            _parse_body(word & 0xFF, stream_id & 0x7FFFFFFF, flags, body)
-        )
-        offset = end
-    if offset == 0:
-        return frames, buffer
-    return frames, bytes(view[offset:])
-
-
 def consume_frames(
     buffer: bytearray, max_length: int = MAX_FRAME_LENGTH
 ) -> List[Frame]:
     """Parse complete frames out of a persistent receive buffer.
 
-    Consumed bytes are deleted from ``buffer`` in place -- the zero-copy
-    companion to :func:`parse_frames` for connection receive paths that
-    keep one reusable ``bytearray`` per connection.  A header whose
+    Consumed bytes are deleted from ``buffer`` in place, so a connection
+    keeps one reusable ``bytearray`` as its receive buffer; bytes of an
+    incomplete trailing frame stay there for the next call.  A header whose
     length exceeds ``max_length`` (the local ``SETTINGS_MAX_FRAME_SIZE``)
     raises ``FRAME_SIZE_ERROR`` before its body is buffered (RFC 7540
     §4.2).

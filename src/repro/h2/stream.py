@@ -145,9 +145,5 @@ class Stream:
     def closed(self) -> bool:
         return self.state is StreamState.CLOSED
 
-    @property
-    def can_send(self) -> bool:
-        return self.state in (StreamState.OPEN, StreamState.HALF_CLOSED_REMOTE)
-
     def __repr__(self) -> str:
         return f"Stream({self.stream_id}, {self.state.value})"

@@ -47,7 +47,6 @@ from repro.transport.framing import (  # noqa: F401
     RECORD_HEADER_LEN,
     consume_records,
     pack_record,
-    parse_records,
 )
 
 

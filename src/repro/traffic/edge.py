@@ -8,22 +8,15 @@ folds everything into a streaming :class:`~repro.traffic.aggregate.
 TrafficAggregate`: concurrent-connection gauges, handshakes split by
 resumption, coalesced-request counters per time bucket (the Figure 8
 series at population scale), and per-edge-group breakdowns.
-
-A seeded sample of requests is additionally retained as
-:class:`~repro.deployment.passive.LogRecord` rows, so the §5 passive
-pipeline's analysis helpers work unchanged on traffic runs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.audit.log import NULL_AUDIT
 from repro.audit.reasons import ReasonCode
 from repro.dataset.world import SyntheticWorld
-from repro.deployment.passive import LogRecord
 from repro.h2.server import H2Server
 from repro.traffic.aggregate import TrafficAggregate
 
@@ -79,22 +72,14 @@ class EdgeLoadMonitor:
         self,
         world: SyntheticWorld,
         aggregate: TrafficAggregate,
-        sample_rate: float = 0.0,
-        sampling_seed: int = 0,
         audit=None,
     ) -> None:
         self.world = world
         self.aggregate = aggregate
         self.loop = world.network.loop
-        self.sample_rate = sample_rate
-        self.rng = np.random.default_rng(sampling_seed)
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: Sampled passive-pipeline feed (§5.2 record shape).
-        self.records: List[LogRecord] = []
         self._edge_of: Dict[int, str] = {}
         self._servers: List[H2Server] = []
-        self._connection_ids: Dict[int, int] = {}
-        self._next_connection_id = 1
         #: Live connections across all monitored edges (the fleet
         #: gauge behind per-bucket ``peak_concurrent``).
         self.current_connections = 0
@@ -172,21 +157,3 @@ class EdgeLoadMonitor:
         if mismatch:
             edge.coalesced_requests += 1
             bucket.coalesced_requests += 1
-        if self.sample_rate > 0 and \
-                self.rng.random() < self.sample_rate:
-            key = id(connection)
-            if key not in self._connection_ids:
-                self._connection_ids[key] = self._next_connection_id
-                self._next_connection_id += 1
-            header_map = dict(headers)
-            self.records.append(LogRecord(
-                timestamp=self.loop.now(),
-                connection_id=self._connection_ids[key],
-                sni=connection.sni,
-                authority=authority,
-                arrival_index=arrival_index,
-                referer=header_map.get("referer", ""),
-                group=None,
-                sni_host_mismatch=mismatch,
-                user_agent=header_map.get("user-agent", ""),
-            ))

@@ -236,12 +236,7 @@ def simulate_shard(
         shard_count=shard.shard_count,
     )
     telemetry = Telemetry(clock=loop.now, trace=trace, audit=audit)
-    monitor = EdgeLoadMonitor(
-        world, aggregate,
-        sample_rate=scenario.passive_sample_rate,
-        sampling_seed=shard.sampling_seed(),
-        audit=telemetry.audit,
-    )
+    monitor = EdgeLoadMonitor(world, aggregate, audit=telemetry.audit)
     monitor.attach()
 
     policies = {

@@ -18,7 +18,6 @@ from repro.transport.base import (
 from repro.transport.framing import (
     RECORD_HEADER_LEN,
     pack_record,
-    parse_records,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "capabilities_of",
     "RECORD_HEADER_LEN",
     "pack_record",
-    "parse_records",
 ]

@@ -32,30 +32,6 @@ def pack_record(record_type: int, payload: bytes) -> bytes:
     return _RECORD_STRUCT.pack(record_type, len(payload)) + payload
 
 
-def parse_records(buffer: bytes) -> Tuple[List[Tuple[int, bytes]], bytes]:
-    """Parse complete records off ``buffer``; returns (records, rest).
-
-    Walks the buffer with a ``memoryview`` and an offset so a burst of N
-    records costs one tail copy instead of N shrinking-buffer copies.
-    """
-    records: List[Tuple[int, bytes]] = []
-    view = memoryview(buffer)
-    total = len(view)
-    offset = 0
-    while total - offset >= RECORD_HEADER_LEN:
-        record_type, length = _RECORD_STRUCT.unpack_from(view, offset)
-        end = offset + RECORD_HEADER_LEN + length
-        if end > total:
-            break
-        records.append(
-            (record_type, bytes(view[offset + RECORD_HEADER_LEN : end]))
-        )
-        offset = end
-    if offset == 0:
-        return records, buffer
-    return records, bytes(view[offset:])
-
-
 def consume_records(buffer: bytearray) -> List[Tuple[int, bytes]]:
     """Parse complete records out of a persistent receive buffer.
 

@@ -55,6 +55,18 @@ class TestDeterminism:
         assert diff.common > 0
         assert "no changes" in render_diff(diff)
 
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_auditing_does_not_change_archives(self, audited, policy):
+        """An audit-only crawl yields byte-identical archives to a
+        plain crawl: recording decisions never alters them."""
+        result, _ = audited[policy]
+        plain = ParallelCrawler(
+            CONFIG, CrawlParams(policy=policy, speculative_rate=0.10),
+            shard_count=2, jobs=1,
+        ).crawl()
+        assert [a.to_json() for a in plain.archives] \
+            == [a.to_json() for a in result.archives]
+
     def test_events_merge_in_shard_order_with_dense_seqs(self, audited):
         _, trace = audited["chromium"]
         assert [event.seq for event in trace.audit] \

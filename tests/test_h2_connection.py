@@ -23,7 +23,7 @@ from repro.h2.frames import (
     RstStreamFrame,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frames,
+    consume_frames,
 )
 from repro.h2.settings import MAX_WINDOW_SIZE, SettingId
 
@@ -326,7 +326,7 @@ def window_updates(events):
 
 def goaway_code(endpoint):
     """The error code of the GOAWAY ``endpoint`` has queued."""
-    frames, _ = parse_frames(endpoint.data_to_send())
+    frames = consume_frames(bytearray(endpoint.data_to_send()))
     goaways = [f for f in frames if isinstance(f, GoAwayFrame)]
     assert len(goaways) == 1
     return goaways[0].error_code

@@ -11,7 +11,7 @@ from repro.h2.frames import (
     CONNECTION_PREFACE,
     SettingsFrame,
     WindowUpdateFrame,
-    parse_frames,
+    consume_frames,
 )
 from repro.h2.settings import SettingId
 from repro.h2.tls_channel import TlsClientChannel
@@ -148,8 +148,9 @@ class TestHandshakeAndRequest:
         session.connect()
         run(network)
         assert flights[0].startswith(CONNECTION_PREFACE)
-        frames, rest = parse_frames(flights[0][len(CONNECTION_PREFACE):])
-        assert rest == b""
+        buffer = bytearray(flights[0][len(CONNECTION_PREFACE):])
+        frames = consume_frames(buffer)
+        assert buffer == b""
         settings, update = frames[:2]
         assert isinstance(settings, SettingsFrame)
         assert (SettingId.INITIAL_WINDOW_SIZE, 6 * 2**20) in \

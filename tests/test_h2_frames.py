@@ -18,8 +18,6 @@ from repro.h2 import (
     SettingsFrame,
     UnknownFrame,
     WindowUpdateFrame,
-    parse_frame,
-    parse_frames,
 )
 from repro.h2.frames import (
     FLAG_ACK,
@@ -29,13 +27,27 @@ from repro.h2.frames import (
     FRAME_HEADER_LEN,
     TYPE_ORIGIN,
     ContinuationFrame,
+    consume_frames,
 )
 
 
-def roundtrip(frame):
-    parsed, rest = parse_frame(frame.serialize())
+def parse(wire):
+    """Run ``wire`` through the connection receive path; returns the
+    parsed frames and the bytes left in the buffer."""
+    buffer = bytearray(wire)
+    frames = consume_frames(buffer)
+    return frames, bytes(buffer)
+
+
+def parse_one(wire):
+    frames, rest = parse(wire)
+    assert len(frames) == 1
     assert rest == b""
-    return parsed
+    return frames[0]
+
+
+def roundtrip(frame):
+    return parse_one(frame.serialize())
 
 
 class TestFrameHeader:
@@ -49,8 +61,8 @@ class TestFrameHeader:
 
     def test_incomplete_buffer_returns_none(self):
         wire = DataFrame(stream_id=1, data=b"hello").serialize()
-        frame, rest = parse_frame(wire[:-1])
-        assert frame is None
+        frames, rest = parse(wire[:-1])
+        assert frames == []
         assert rest == wire[:-1]
 
     def test_parse_frames_splits_stream(self):
@@ -58,14 +70,14 @@ class TestFrameHeader:
             DataFrame(stream_id=1, data=b"a").serialize()
             + PingFrame().serialize()
         )
-        frames, rest = parse_frames(wire)
+        frames, rest = parse(wire)
         assert len(frames) == 2
         assert rest == b""
 
     def test_parse_frames_keeps_partial_tail(self):
         wire = DataFrame(stream_id=1, data=b"a").serialize()
         partial = PingFrame().serialize()[:4]
-        frames, rest = parse_frames(wire + partial)
+        frames, rest = parse(wire + partial)
         assert len(frames) == 1
         assert rest == partial
 
@@ -92,7 +104,7 @@ class TestDataFrame:
         # pad length byte larger than remaining payload
         header = bytes([0, 0, 2, 0x0, FLAG_PADDED, 0, 0, 0, 3])
         with pytest.raises(H2ConnectionError):
-            parse_frame(header + bytes([200, 1]))
+            parse(header + bytes([200, 1]))
 
 
 class TestHeadersFrame:
@@ -114,7 +126,7 @@ class TestHeadersFrame:
         body = struct.pack(">IB", 3, 15) + b"\x82"
         header = bytes([0, 0, len(body), 0x1, FLAG_PRIORITY | FLAG_END_HEADERS,
                         0, 0, 0, 1])
-        frame, _ = parse_frame(header + body)
+        frame = parse_one(header + body)
         assert frame.header_block == b"\x82"
 
 
@@ -132,12 +144,12 @@ class TestControlFrames:
     def test_settings_ack_with_payload_rejected(self):
         header = bytes([0, 0, 6, 0x4, FLAG_ACK, 0, 0, 0, 0])
         with pytest.raises(H2ConnectionError):
-            parse_frame(header + b"\x00" * 6)
+            parse(header + b"\x00" * 6)
 
     def test_settings_bad_length_rejected(self):
         header = bytes([0, 0, 5, 0x4, 0, 0, 0, 0, 0])
         with pytest.raises(H2ConnectionError):
-            parse_frame(header + b"\x00" * 5)
+            parse(header + b"\x00" * 5)
 
     def test_ping_must_be_8_bytes(self):
         with pytest.raises(H2ConnectionError):
@@ -181,7 +193,7 @@ class TestControlFrames:
 
     def test_unknown_error_code_becomes_internal(self):
         header = bytes([0, 0, 4, 0x3, 0, 0, 0, 0, 1])
-        frame, _ = parse_frame(header + struct.pack(">I", 0xDEAD))
+        frame = parse_one(header + struct.pack(">I", 0xDEAD))
         assert frame.error_code is ErrorCode.INTERNAL_ERROR
 
 
@@ -214,20 +226,20 @@ class TestOriginFrame:
         # Hand-craft type 0xC on stream 3; parser surfaces UnknownFrame.
         body = struct.pack(">H", 13) + b"https://a.com"
         header = bytes([0, 0, len(body), TYPE_ORIGIN, 0, 0, 0, 0, 3])
-        frame, _ = parse_frame(header + body)
+        frame = parse_one(header + body)
         assert isinstance(frame, UnknownFrame)
 
     def test_truncated_entry_ignored_as_unknown(self):
         body = struct.pack(">H", 100) + b"short"
         header = bytes([0, 0, len(body), TYPE_ORIGIN, 0, 0, 0, 0, 0])
-        frame, _ = parse_frame(header + body)
+        frame = parse_one(header + body)
         assert isinstance(frame, UnknownFrame)
 
     def test_non_ascii_origin_ignored_as_unknown(self):
         raw = "https://ünicode.com".encode("utf-8")
         body = struct.pack(">H", len(raw)) + raw
         header = bytes([0, 0, len(body), TYPE_ORIGIN, 0, 0, 0, 0, 0])
-        frame, _ = parse_frame(header + body)
+        frame = parse_one(header + body)
         assert isinstance(frame, UnknownFrame)
 
     @given(
@@ -244,7 +256,7 @@ class TestOriginFrame:
 class TestUnknownFrame:
     def test_unknown_type_surfaced_not_crashed(self):
         header = bytes([0, 0, 3, 0xEE, 0x7, 0, 0, 0, 9])
-        frame, rest = parse_frame(header + b"xyz")
+        frame = parse_one(header + b"xyz")
         assert isinstance(frame, UnknownFrame)
         assert frame.raw_type == 0xEE
         assert frame.raw_payload == b"xyz"
@@ -252,6 +264,6 @@ class TestUnknownFrame:
 
     def test_unknown_frame_reserializes(self):
         frame = UnknownFrame(stream_id=9, raw_type=0xEE, raw_payload=b"xyz")
-        reparsed, _ = parse_frame(frame.serialize())
+        reparsed = roundtrip(frame)
         assert isinstance(reparsed, UnknownFrame)
         assert reparsed.raw_payload == b"xyz"

@@ -4,22 +4,29 @@ import numpy as np
 import pytest
 
 from repro.h2 import H2ClientSession, H2Server, ServerConfig, \
-    TlsClientConfig, UnknownFrame, parse_frame
+    TlsClientConfig, UnknownFrame
 from repro.h2.frames import (
     CertificateFrame,
     FLAG_TO_BE_CONTINUED,
     TYPE_CERTIFICATE,
+    consume_frames,
 )
 from repro.h2.tls_channel import serialize_chain
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
 from repro.tlspki import CertificateAuthority, TrustStore
 
 
+def parse_one(wire):
+    buffer = bytearray(wire)
+    (frame,) = consume_frames(buffer)
+    assert buffer == b""
+    return frame
+
+
 class TestCertificateFrameWire:
     def test_roundtrip(self):
         frame = CertificateFrame(cert_id=3, fragment=b"chunk")
-        parsed, rest = parse_frame(frame.serialize())
-        assert rest == b""
+        parsed = parse_one(frame.serialize())
         assert isinstance(parsed, CertificateFrame)
         assert parsed.cert_id == 3
         assert parsed.fragment == b"chunk"
@@ -28,7 +35,7 @@ class TestCertificateFrameWire:
     def test_continuation_flag(self):
         frame = CertificateFrame(cert_id=1, fragment=b"part",
                                  flags=FLAG_TO_BE_CONTINUED)
-        parsed, _ = parse_frame(frame.serialize())
+        parsed = parse_one(frame.serialize())
         assert parsed.to_be_continued
 
     def test_nonzero_stream_rejected_at_build(self):
@@ -41,7 +48,7 @@ class TestCertificateFrameWire:
         body = bytes([1]) + b"x"
         header = bytes([0, 0, len(body), TYPE_CERTIFICATE, 0,
                         0, 0, 0, 5])
-        parsed, _ = parse_frame(header + body)
+        parsed = parse_one(header + body)
         assert isinstance(parsed, UnknownFrame)
 
 

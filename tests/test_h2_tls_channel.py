@@ -11,9 +11,9 @@ from repro.h2.tls_channel import (
     TlsClientChannel,
     TlsClientConfig,
     TlsServerChannel,
+    consume_records,
     deserialize_chain,
     pack_record,
-    parse_records,
     serialize_chain,
 )
 from repro.netsim import EventLoop, Host, LatencyModel, LinkSpec, Network
@@ -22,26 +22,26 @@ from repro.tlspki import CertificateAuthority, TrustStore
 
 class TestRecordFraming:
     def test_roundtrip(self):
-        wire = pack_record(REC_APPDATA, b"payload")
-        records, rest = parse_records(wire)
-        assert records == [(REC_APPDATA, b"payload")]
-        assert rest == b""
+        buffer = bytearray(pack_record(REC_APPDATA, b"payload"))
+        assert consume_records(buffer) == [(REC_APPDATA, b"payload")]
+        assert buffer == b""
 
     def test_partial_record_buffered(self):
         wire = pack_record(REC_APPDATA, b"payload")
-        records, rest = parse_records(wire[:-2])
-        assert records == []
-        assert rest == wire[:-2]
+        buffer = bytearray(wire[:-2])
+        assert consume_records(buffer) == []
+        assert buffer == wire[:-2]
 
     def test_multiple_records(self):
-        wire = pack_record(REC_HELLO, b"a") + pack_record(REC_CERT, b"bb")
-        records, rest = parse_records(wire)
+        buffer = bytearray(pack_record(REC_HELLO, b"a")
+                           + pack_record(REC_CERT, b"bb"))
+        records = consume_records(buffer)
         assert [t for t, _ in records] == [REC_HELLO, REC_CERT]
-        assert rest == b""
+        assert buffer == b""
 
     def test_empty_payload(self):
-        records, _ = parse_records(pack_record(REC_ALERT, b""))
-        assert records == [(REC_ALERT, b"")]
+        buffer = bytearray(pack_record(REC_ALERT, b""))
+        assert consume_records(buffer) == [(REC_ALERT, b"")]
 
 
 class TestChainSerialization:

@@ -9,7 +9,7 @@ from repro.deployment import BuggyMiddlebox, DeploymentExperiment
 from repro.deployment.experiment import deployment_world_config
 from repro.h2 import H2ClientSession, TlsClientConfig
 from repro.telemetry import Telemetry
-from repro.transport.framing import REC_APPDATA, parse_records
+from repro.transport.framing import REC_APPDATA, consume_records
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +146,12 @@ class _RstInjector:
         if client.name != self.client_name or self.installed:
             return
         self.installed = True
-        buffer = [b""]
+        buffer = bytearray()
         seen = [0]
 
         def inspect(data):
-            buffer[0] += data
-            records, buffer[0] = parse_records(buffer[0])
-            for record_type, _ in records:
+            buffer.extend(data)
+            for record_type, _ in consume_records(buffer):
                 if record_type == REC_APPDATA:
                     seen[0] += 1
                     if seen[0] >= self.kill_after:

@@ -1,8 +1,9 @@
 """The population-scale traffic subsystem, unit through end to end.
 
 End-to-end scenarios here stay tiny (a dozen users, a handful of
-sites) -- the full-size determinism and what-if checks live in the CI
-``traffic-smoke`` job and ``benchmarks/bench_traffic.py``.
+sites) -- the full-size determinism checks live in the CI
+``traffic-smoke`` job, and perfbench's ``traffic`` workload runs the
+``origin`` what-if.
 """
 
 import json

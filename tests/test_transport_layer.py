@@ -19,34 +19,34 @@ from repro.transport.base import (
 from repro.transport.framing import (
     REC_APPDATA,
     REC_HELLO,
+    consume_records,
     pack_record,
-    parse_records,
 )
 from repro.transport.tcp import DEFAULT_ALPN_OFFER, TcpTlsDialer
 
 
 class TestFraming:
     def test_round_trip(self):
-        wire = pack_record(REC_HELLO, b"hello") + \
-            pack_record(REC_APPDATA, b"payload")
-        records, rest = parse_records(wire)
+        buffer = bytearray(pack_record(REC_HELLO, b"hello")
+                           + pack_record(REC_APPDATA, b"payload"))
+        records = consume_records(buffer)
         assert records == [(REC_HELLO, b"hello"),
                            (REC_APPDATA, b"payload")]
-        assert rest == b""
+        assert buffer == b""
 
     def test_partial_record_buffered(self):
         wire = pack_record(REC_APPDATA, b"x" * 100)
-        records, rest = parse_records(wire[:7])
-        assert records == []
-        assert rest == wire[:7]
-        records, rest = parse_records(rest + wire[7:])
-        assert records == [(REC_APPDATA, b"x" * 100)]
-        assert rest == b""
+        buffer = bytearray(wire[:7])
+        assert consume_records(buffer) == []
+        assert buffer == wire[:7]
+        buffer += wire[7:]
+        assert consume_records(buffer) == [(REC_APPDATA, b"x" * 100)]
+        assert buffer == b""
 
     def test_empty_payload(self):
-        records, rest = parse_records(pack_record(REC_HELLO, b""))
-        assert records == [(REC_HELLO, b"")]
-        assert rest == b""
+        buffer = bytearray(pack_record(REC_HELLO, b""))
+        assert consume_records(buffer) == [(REC_HELLO, b"")]
+        assert buffer == b""
 
     def test_shared_with_tls_channel(self):
         # The h2 stack and the middlebox must keep speaking the same
@@ -54,7 +54,7 @@ class TestFraming:
         from repro.h2 import tls_channel
 
         assert tls_channel.pack_record is pack_record
-        assert tls_channel.parse_records is parse_records
+        assert tls_channel.consume_records is consume_records
 
 
 class TestSessionCapabilities:

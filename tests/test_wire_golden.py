@@ -21,11 +21,7 @@ import pytest
 
 from repro.h2 import frames as fr
 from repro.h2.hpack import HpackDecoder, HpackEncoder
-from repro.transport.framing import (
-    consume_records,
-    pack_record,
-    parse_records,
-)
+from repro.transport.framing import consume_records, pack_record
 
 DATA_PATH = (
     pathlib.Path(__file__).resolve().parent / "data" / "wire_golden.json"
@@ -87,9 +83,9 @@ def test_frame_serialize_into_matches_serialize(vector):
     "vector", CORPUS["frames"], ids=[v["name"] for v in CORPUS["frames"]]
 )
 def test_frame_parse_roundtrip_is_frozen(vector):
-    wire = bytes.fromhex(vector["hex"])
-    parsed, rest = fr.parse_frame(wire)
-    assert rest == b""
+    buffer = bytearray.fromhex(vector["hex"])
+    (parsed,) = fr.consume_frames(buffer)
+    assert not buffer
     assert type(parsed).__name__ == vector["cls"]
     assert parsed.serialize().hex() == vector["reparse_hex"]
 
@@ -135,15 +131,11 @@ def test_record_packing_is_frozen():
 
 def test_record_stream_parses_both_ways():
     doc = CORPUS["tls_records"]
-    stream = bytes.fromhex(doc["stream_hex"])
-    parsed, rest = parse_records(stream)
-    assert rest == b""
-    assert [(t, p.hex()) for t, p in parsed] == \
-        [(v["type"], v["payload"]) for v in doc["records"]]
-    buffer = bytearray(stream)
+    buffer = bytearray.fromhex(doc["stream_hex"])
     consumed = consume_records(buffer)
     assert not buffer
-    assert consumed == parsed
+    assert [(t, p.hex()) for t, p in consumed] == \
+        [(v["type"], v["payload"]) for v in doc["records"]]
 
 
 def test_partial_frame_stays_buffered():
